@@ -107,10 +107,9 @@ def _cmd_lacmap(args) -> int:
             mix = GroupedMixWeights.uniform(1, args.scales)
             heat = multiscale_lacunarity(x, cfg, mix)
         else:
-            cfg = LacunarityConfig(
-                method="dbc",
-                window=window if window is not None else PoolSpec.square(3, stride=1),
-                dilation_set=args.dilations, epsilon=args.epsilon)
+            cfg = LacunarityConfig(method="dbc", window=window,
+                                   dilation_set=args.dilations,
+                                   epsilon=args.epsilon)
             heat = dbc_lacunarity(x, cfg)
     except ValueError as exc:  # bad flag combination for this input
         print(f"error: {exc}", file=sys.stderr)

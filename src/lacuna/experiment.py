@@ -1,11 +1,12 @@
 """Experiment configuration, runner, and deterministic results files.
 
-An experiment compares pooling methods on a synthetic texture dataset: for
-each (method, seed) pair it builds a frozen backbone + fusion model, trains
-the head, and scores test accuracy plus a class-separability (FDR) report on
-the fused features.  Datasets and backbones are shared per seed across
-methods so the comparison is paired.  Results serialize to a fixed-format
-text file: rerunning the same config writes byte-identical bytes.
+An experiment compares pooling methods on a synthetic texture dataset.  Per
+seed it generates the dataset and runs the frozen backbone over it once; the
+feature tensor is then shared by every method, so the comparison is paired.
+For each (method, seed) pair it builds a fusion head over those features,
+trains it, and scores test accuracy plus a class-separability (FDR) report
+on the fused features.  Results serialize to a fixed-format text file:
+rerunning the same config writes byte-identical bytes.
 
 Configs are INI files (configparser) with an [experiment] section and an
 optional [train] section; see configs/heterogeneity.ini.  The LACUNA_SEED
@@ -24,7 +25,6 @@ import numpy as np
 from .lacunarity import LacunarityConfig
 from .metrics import fisher_discriminant_ratio, summarize_log_fdr
 from .model import FrozenBackbone, FusionModel
-from .tensor import elementwise_mul, gap
 from .textures import heterogeneity_dataset, toy_dataset
 from .train import TrainConfig, evaluate, train
 
@@ -173,31 +173,28 @@ def active_seeds(cfg: ExperimentConfig) -> tuple[int, ...]:
         raise ExperimentConfigError(f"{SEED_ENV}={raw!r} is not an integer") from exc
 
 
-def _fused_features(model: FusionModel, feats: np.ndarray) -> np.ndarray:
-    fused = elementwise_mul(model.pooling_branch(feats), gap(feats))
-    return fused[:, :, 0, 0]
+def _features(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    images, labels = _dataset(cfg, seed)
+    backbone = FrozenBackbone.make(seed=seed, channels=cfg.backbone_channels)
+    return backbone.features(images), labels
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     seeds = active_seeds(cfg)
-    datasets = {seed: _dataset(cfg, seed) for seed in seeds}
-    backbones = {
-        seed: FrozenBackbone.make(seed=seed, channels=cfg.backbone_channels)
-        for seed in seeds
-    }
+    features = {seed: _features(cfg, seed) for seed in seeds}
     summaries = []
     for method in cfg.methods:
         accs, fdrs, epochs = [], [], []
         confusion = np.zeros((cfg.classes, cfg.classes), dtype=np.int64)
         trainable = mix_params = 0
         for seed in seeds:
-            images, labels = datasets[seed]
-            model = FusionModel.build(backbones[seed], pooling_for(cfg, method),
-                                      cfg.classes, seed=seed)
-            result = train(model, images, labels, replace(cfg.train, seed=seed))
-            report = evaluate(model, images, labels, result.test_idx)
-            test_feats = model.backbone.features(images[result.test_idx])
-            fdr = fisher_discriminant_ratio(_fused_features(model, test_feats),
+            feats, labels = features[seed]
+            model = FusionModel.build(cfg.backbone_channels,
+                                      pooling_for(cfg, method), cfg.classes,
+                                      seed=seed)
+            result = train(model, feats, labels, replace(cfg.train, seed=seed))
+            report = evaluate(model, feats, labels, result.test_idx)
+            fdr = fisher_discriminant_ratio(model.fused(feats[result.test_idx]),
                                             labels[result.test_idx])
             accs.append(report.accuracy)
             fdrs.append(fdr.log_fdr)

@@ -39,12 +39,18 @@ class PyramidDepthError(ValueError):
 
 METHODS = ("base", "dbc", "multiscale")
 
+# box-counting window when none is configured: its second stage glides over
+# the heights map, so one global window would leave nothing to glide over
+DBC_DEFAULT_WINDOW = PoolSpec.square(3, stride=1)
+
 
 @dataclass(frozen=True)
 class LacunarityConfig:
     """Method selector plus the knobs shared by the operators.
 
-    `window=None` means a single window covering the whole spatial extent of
+    `window=None` picks the method's default window (`resolve_window`): a
+    3x3 stride-1 window for the box-counting method, which needs maps of at
+    least 3x3; otherwise one window covering the whole spatial extent of
     whatever map the operator is applied to (for the multi-scale method, of
     each pyramid level).  `dilation_set` only matters for the box-counting
     method, `scales` only for the multi-scale one.  `normalize_input`
@@ -78,8 +84,11 @@ class LacunarityConfig:
             raise ValueError("scales must be >= 1")
 
     def resolve_window(self, x: np.ndarray) -> PoolSpec:
+        """The configured window, else the method's default for map `x`."""
         if self.window is not None:
             return self.window
+        if self.method == "dbc":
+            return DBC_DEFAULT_WINDOW
         return PoolSpec.global_window(x.shape[2], x.shape[3])
 
 

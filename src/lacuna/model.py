@@ -1,23 +1,21 @@
-"""Fusion classification model over a frozen feature extractor.
+"""Frozen feature extractor and the fusion head over its feature maps.
 
-The model is a pipeline of four stages: a frozen backbone turns images into
-feature maps; a configurable pooling branch (one of the lacunarity operators
-or a plain avg/max/l2 baseline) reduces the features to one value per
-channel; a global-average-pool branch does the same; and the two branch
-outputs are multiplied elementwise and fed to a linear classifier.  Only the
-scale-mixing weights (when the pooling branch has any) and the classifier
-are ever trained.
+A frozen backbone (a small fixed-seed stride-2 convolution stack) turns
+images into feature maps once.  Everything after that takes the feature
+tensor: the fusion head reduces it through a configurable pooling branch
+(one of the lacunarity operators or a plain avg/max/l2 baseline) and a
+global-average-pool branch, multiplies the two per channel and feeds the
+product to a linear classifier.  Only the scale-mixing weights (when the
+pooling branch has any) and the classifier are ever trained.
 
-The backbone comes in two flavors: a small fixed-seed stride-2 convolution
-stack, or features precomputed elsewhere and loaded from a flat binary
-feature file ("LACF" magic, little-endian uint32 dims, little-endian float64
-payload, labels in a one-integer-per-line sidecar).
+Features computed elsewhere enter the same way, as a plain tensor read from
+a flat binary feature file ("LACF" magic, little-endian uint32 dims,
+little-endian float64 payload, labels in a one-integer-per-line sidecar).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from dataclasses import dataclass
 
@@ -31,7 +29,6 @@ from .lacunarity import (
 )
 from .tensor import (
     GroupedMixWeights,
-    PoolSpec,
     ShapeMismatchError,
     as_feature_map,
     elementwise_mul,
@@ -44,11 +41,6 @@ from .tensor import (
 )
 
 BASELINE_POOLS = ("avg", "max", "l2")
-
-# local window used when a box-counting branch has no explicit window: the
-# box-counting second stage needs a kernel no larger than the heights map,
-# which rules out a single global window
-DBC_DEFAULT_WINDOW = PoolSpec.square(3, stride=1)
 
 
 class FeatureFileError(ValueError):
@@ -126,25 +118,21 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
 
 @dataclass
 class FrozenBackbone:
-    """Immutable feature extractor: conv stub or precomputed feature tensor.
+    """Immutable conv feature extractor.
 
-    The conv flavor is a fixed-seed stack of stride-2 3x3 convolutions with
-    ReLU, mapping (N, 1, 56, 56) grayscale in [0, 255] to (N, C, 7, 7).  The
-    file flavor carries a feature tensor loaded from disk and hands out rows
-    by index.  Weight arrays are marked read-only; the checksum lets callers
-    assert nothing trained through it.
+    A fixed-seed stack of stride-2 3x3 convolutions with ReLU, mapping
+    (N, 1, 56, 56) grayscale in [0, 255] to (N, C, 7, 7).  Weight arrays are
+    marked read-only; the checksum lets callers assert nothing trained
+    through it.
     """
 
     weights: tuple[np.ndarray, ...] = ()
     biases: tuple[np.ndarray, ...] = ()
-    stored: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
         for arr in (*self.weights, *self.biases):
             arr.setflags(write=False)
-        if self.stored is not None:
-            self.stored.setflags(write=False)
 
     @classmethod
     def make(cls, seed: int = 0, channels: int = 16) -> "FrozenBackbone":
@@ -161,25 +149,12 @@ class FrozenBackbone:
             biases.append(np.zeros(c_out))
         return cls(weights=tuple(weights), biases=tuple(biases), seed=seed)
 
-    @classmethod
-    def from_feature_file(cls, path: str) -> "FrozenBackbone":
-        return cls(stored=read_feature_file(path))
-
     @property
     def out_channels(self) -> int:
-        if self.stored is not None:
-            return self.stored.shape[1]
         return self.weights[-1].shape[0]
 
-    def features(self, images: np.ndarray | None = None,
-                 indices: np.ndarray | None = None) -> np.ndarray:
-        """Feature maps for a batch; file-backed backbones ignore `images`."""
-        if self.stored is not None:
-            if indices is not None:
-                return self.stored[np.asarray(indices)]
-            return np.array(self.stored)
-        if images is None:
-            raise ValueError("conv backbone needs an image batch")
+    def features(self, images: np.ndarray) -> np.ndarray:
+        """Feature maps for a batch of single-channel images."""
         x = as_feature_map(images, "images")
         if x.shape[1] != 1:
             raise ShapeMismatchError("backbone expects single-channel images")
@@ -192,8 +167,6 @@ class FrozenBackbone:
         digest = hashlib.sha256()
         for arr in (*self.weights, *self.biases):
             digest.update(np.ascontiguousarray(arr).tobytes())
-        if self.stored is not None:
-            digest.update(np.ascontiguousarray(self.stored).tobytes())
         return digest.hexdigest()
 
 
@@ -240,7 +213,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class FusionModel:
-    """Frozen backbone + pooling branch x GAP branch + linear classifier.
+    """Pooling branch x GAP branch + linear classifier over feature maps.
 
     `pooling` is either a LacunarityConfig or one of the baseline selector
     strings ("avg", "max", "l2").  `mix` is present exactly when the pooling
@@ -248,7 +221,6 @@ class FusionModel:
     the classifier weights form the whole trainable set.
     """
 
-    backbone: FrozenBackbone
     pooling: LacunarityConfig | str
     classifier_w: np.ndarray
     classifier_b: np.ndarray
@@ -275,13 +247,11 @@ class FusionModel:
         return len(self.pooling.dilation_set)
 
     @classmethod
-    def build(cls, backbone: FrozenBackbone,
-              pooling: LacunarityConfig | str,
+    def build(cls, channels: int, pooling: LacunarityConfig | str,
               num_classes: int, seed: int = 0) -> "FusionModel":
-        """Assemble with centered-uniform 1/sqrt(C) classifier init, bias 0."""
+        """Head for C-channel features: centered-uniform 1/sqrt(C) init, bias 0."""
         if num_classes < 2:
             raise ValueError("need at least two classes")
-        channels = backbone.out_channels
         rng = np.random.default_rng(seed)
         w = rng.uniform(-1.0, 1.0, size=(num_classes, channels)) / np.sqrt(channels)
         b = np.zeros(num_classes)
@@ -290,8 +260,7 @@ class FusionModel:
             scales = (pooling.scales if pooling.method == "multiscale"
                       else len(pooling.dilation_set))
             mix = GroupedMixWeights.uniform(channels, scales)
-        return cls(backbone=backbone, pooling=pooling,
-                   classifier_w=w, classifier_b=b, mix=mix)
+        return cls(pooling=pooling, classifier_w=w, classifier_b=b, mix=mix)
 
     def trainable_param_count(self) -> int:
         count = self.classifier_w.size + self.classifier_b.size
@@ -307,13 +276,7 @@ class FusionModel:
             return None
         if self.pooling.method == "multiscale":
             return multiscale_scale_planes(feats, self.pooling)
-        cfg = self.pooling
-        if cfg.window is None:
-            cfg = LacunarityConfig(
-                method="dbc", window=DBC_DEFAULT_WINDOW, epsilon=cfg.epsilon,
-                dilation_set=cfg.dilation_set, clamp_heights=cfg.clamp_heights,
-            )
-        return dbc_scale_planes(feats, cfg)
+        return dbc_scale_planes(feats, self.pooling)
 
     def pooling_branch(self, feats: np.ndarray) -> np.ndarray:
         """Reduce features to (N, C, 1, 1) through the configured branch."""
@@ -329,19 +292,15 @@ class FusionModel:
             out = gap(out)  # local windows collapse to one value per channel
         return out
 
-    def head_logits(self, lac: np.ndarray, gapped: np.ndarray) -> np.ndarray:
-        fused = elementwise_mul(lac, gapped)
-        return linear_classifier(fused[:, :, 0, 0], self.classifier_w,
+    def fused(self, feats: np.ndarray) -> np.ndarray:
+        """(N, C) product of the pooling and GAP branches: the classifier input."""
+        feats = as_feature_map(feats, "features")
+        return elementwise_mul(self.pooling_branch(feats), gap(feats))[:, :, 0, 0]
+
+    def forward(self, feats: np.ndarray) -> np.ndarray:
+        """Class logits for a feature batch."""
+        return linear_classifier(self.fused(feats), self.classifier_w,
                                  self.classifier_b)
 
-    def forward(self, images: np.ndarray | None = None,
-                feats: np.ndarray | None = None) -> np.ndarray:
-        """Class logits for an image batch (or precomputed feature batch)."""
-        if feats is None:
-            feats = self.backbone.features(images)
-        feats = as_feature_map(feats, "features")
-        return self.head_logits(self.pooling_branch(feats), gap(feats))
-
-    def predict(self, images: np.ndarray | None = None,
-                feats: np.ndarray | None = None) -> np.ndarray:
-        return np.argmax(self.forward(images, feats=feats), axis=1)
+    def predict(self, feats: np.ndarray) -> np.ndarray:
+        return np.argmax(self.forward(feats), axis=1)

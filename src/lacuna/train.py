@@ -1,7 +1,8 @@
 """Deterministic training loop for the fusion model's trainable head.
 
-The backbone is frozen, so features, the GAP branch, and the mix-independent
-scale planes are precomputed once; each step then only re-runs the mix, the
+`train` and `evaluate` take the frozen backbone's feature tensor (or features
+read from a file), never images.  Training precomputes the GAP branch and the
+mix-independent scale planes once; each step then only re-runs the mix, the
 fusion product, and the classifier.  Optimization is adaptive moment
 estimation over a name-sorted parameter dict, batches follow a seeded
 permutation, and early stopping watches validation loss with the
@@ -16,7 +17,7 @@ import numpy as np
 
 from .gradcheck import backward
 from .model import FusionModel, linear_classifier, softmax_cross_entropy
-from .tensor import elementwise_mul, gap, mix_scales
+from .tensor import as_feature_map, elementwise_mul, gap, mix_scales
 
 
 class EmptySplitError(ValueError):
@@ -149,10 +150,10 @@ class EvalReport:
 class _HeadState:
     """Precomputed frozen tensors + trainable views for the model head."""
 
-    def __init__(self, model: FusionModel, images: np.ndarray | None,
+    def __init__(self, model: FusionModel, feats: np.ndarray,
                  labels: np.ndarray):
         self.model = model
-        feats = model.backbone.features(images)
+        feats = as_feature_map(feats, "features")
         if feats.shape[0] != len(labels):
             raise ValueError(
                 f"{feats.shape[0]} feature rows for {len(labels)} labels")
@@ -219,11 +220,11 @@ class _HeadState:
         return loss, acc
 
 
-def train(model: FusionModel, images: np.ndarray | None, labels: np.ndarray,
+def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
           cfg: TrainConfig,
           fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
           ) -> TrainResult:
-    """Fit the trainable head; backbone and pooling stay frozen.
+    """Fit the trainable head on (N, C, H, W) features; pooling stays frozen.
 
     Deterministic given cfg.seed: the split, every shuffle, and all update
     arithmetic follow fixed orders.  Raises DivergenceError on non-finite
@@ -231,7 +232,7 @@ def train(model: FusionModel, images: np.ndarray | None, labels: np.ndarray,
     """
     labels = np.asarray(labels, dtype=np.int64)
     train_idx, val_idx, test_idx = split_indices(labels, cfg.seed, fractions)
-    state = _HeadState(model, images, labels)
+    state = _HeadState(model, feats, labels)
     params = state.params()
     opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_opt)
     rng = np.random.default_rng(cfg.seed)
@@ -283,21 +284,17 @@ def train(model: FusionModel, images: np.ndarray | None, labels: np.ndarray,
                        test_idx=test_idx, stopped_early=stopped_early)
 
 
-def evaluate(model: FusionModel, images: np.ndarray | None,
-             labels: np.ndarray,
+def evaluate(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
              indices: np.ndarray | None = None) -> EvalReport:
     """Accuracy and confusion matrix (rows true, columns predicted)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if indices is not None:
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            raise EmptySplitError("evaluation set is empty")
-    elif len(labels) == 0:
+    idx = np.arange(len(labels)) if indices is None else np.asarray(indices)
+    if idx.size == 0:
         raise EmptySplitError("evaluation set is empty")
-    state = _HeadState(model, images, labels)
-    idx = indices if indices is not None else np.arange(len(labels))
-    logits, _ = state.forward(idx)
-    preds = np.argmax(logits, axis=1)
+    feats = as_feature_map(feats, "features")
+    if feats.shape[0] != len(labels):
+        raise ValueError(f"{feats.shape[0]} feature rows for {len(labels)} labels")
+    preds = model.predict(feats[idx])
     true = labels[idx]
     k = model.classifier_b.size
     confusion = np.zeros((k, k), dtype=np.int64)

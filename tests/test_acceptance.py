@@ -6,6 +6,7 @@ their wall-clock budget.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,18 +157,18 @@ def test_training_smoke_multiscale_beats_averaging():
     accs = {"multiscale": [], "avg": []}
     for seed in range(5):
         images, labels = heterogeneity_dataset(100, size=56, seed=seed)
-        backbone = FrozenBackbone.make(seed=seed, channels=16)
+        feats = FrozenBackbone.make(seed=seed, channels=16).features(images)
         for method, pooling in (
             ("multiscale", LacunarityConfig(method="multiscale", scales=2)),
             ("avg", "avg"),
         ):
-            model = FusionModel.build(backbone, pooling, 3, seed=seed)
+            model = FusionModel.build(16, pooling, 3, seed=seed)
             cfg = TrainConfig(max_epochs=100, early_stop_patience=10,
                               learning_rate=0.01, seed=seed)
-            result = train(model, images, labels, cfg)
+            result = train(model, feats, labels, cfg)
             assert result.history.epochs() <= 100
             accs[method].append(
-                evaluate(model, images, labels, result.test_idx).accuracy)
+                evaluate(model, feats, labels, result.test_idx).accuracy)
     hits = sum(acc >= 0.90 for acc in accs["multiscale"])
     assert hits >= 4, f"multiscale per-seed accuracies: {accs['multiscale']}"
     ms_mean = float(np.mean(accs["multiscale"]))
@@ -203,7 +204,12 @@ def test_experiment_results_are_byte_identical(tmp_path, capsys, monkeypatch):
     assert cli.main(["experiment", str(ini)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == first
-    report("identical experiment configs write byte-identical results files")
+    # recorded by the pipeline that still ran the backbone once per train,
+    # evaluate and FDR call; sharing one feature tensor must not move a byte
+    recorded = Path(__file__).parent / "data" / "toy_experiment_results.txt"
+    assert first == recorded.read_bytes()
+    report("identical experiment configs write byte-identical results files, "
+           "equal to the recorded ones")
 
 
 def test_fdr_matches_oracle_and_is_rotation_invariant():

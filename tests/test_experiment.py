@@ -15,6 +15,7 @@ from lacuna.experiment import (
     write_results,
 )
 from lacuna.lacunarity import LacunarityConfig
+from lacuna.model import FrozenBackbone
 from lacuna.train import TrainConfig
 
 TOY_INI = """\
@@ -146,6 +147,21 @@ def test_run_experiment_summaries(tmp_path, monkeypatch):
     assert avg.mix_params == 0
     assert ms.mix_params == 4 * 2 + 4
     assert ms.trainable_params == avg.trainable_params + ms.mix_params
+
+
+def test_run_experiment_runs_backbone_once_per_seed(tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    batches = []
+    conv = FrozenBackbone.features
+
+    def counted(self, images):
+        batches.append(len(images))
+        return conv(self, images)
+
+    monkeypatch.setattr(FrozenBackbone, "features", counted)
+    run_experiment(toy_config(tmp_path, methods=("avg", "multiscale"),
+                              seeds=(0, 1)))
+    assert batches == [30, 30]  # one full-dataset pass per seed, all methods
 
 
 def test_run_experiment_respects_seed_env(tmp_path, monkeypatch):

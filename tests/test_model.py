@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from lacuna.lacunarity import LacunarityConfig, base_lacunarity
+from lacuna.lacunarity import DBC_DEFAULT_WINDOW, LacunarityConfig, base_lacunarity
 from lacuna.model import (
     BASELINE_POOLS,
-    DBC_DEFAULT_WINDOW,
     FeatureFileError,
     FrozenBackbone,
     FusionModel,
@@ -75,14 +74,15 @@ def test_backbone_weights_are_write_protected():
         bb.weights[0][0, 0, 0, 0] = 1.0
 
 
-def test_backbone_from_feature_file(tmp_path):
+def test_feature_file_features_feed_the_head(tmp_path):
     feats = np.random.default_rng(1).standard_normal((6, 4, 2, 2))
     path = str(tmp_path / "f.bin")
     write_feature_file(path, feats)
-    bb = FrozenBackbone.from_feature_file(path)
-    assert bb.out_channels == 4
-    assert np.array_equal(bb.features(), feats)
-    assert np.array_equal(bb.features(indices=np.array([2, 0])), feats[[2, 0]])
+    loaded = read_feature_file(path)
+    model = FusionModel.build(loaded.shape[1], "avg", num_classes=2, seed=0)
+    assert model.classifier_w.shape == (2, 4)
+    assert np.array_equal(loaded, feats)
+    assert np.allclose(model.forward(loaded[[2, 0]]), model.forward(feats)[[2, 0]])
 
 
 def test_backbone_rejects_multichannel_images():
@@ -129,8 +129,7 @@ def fixture_feats(n=4, c=5, hw=7, seed=0):
 
 def test_avg_baseline_is_classifier_of_gap_squared():
     # avg pooling branch == GAP, so the fused product is gap(x)^2
-    bb = FrozenBackbone.make(seed=0, channels=5)
-    model = FusionModel.build(bb, "avg", num_classes=3, seed=1)
+    model = FusionModel.build(5, "avg", num_classes=3, seed=1)
     feats = fixture_feats()
     g = gap(feats)[:, :, 0, 0]
     expected = linear_classifier(g * g, model.classifier_w, model.classifier_b)
@@ -139,18 +138,16 @@ def test_avg_baseline_is_classifier_of_gap_squared():
 
 def test_constant_features_give_bias_logits_for_lacunarity():
     # constant map has zero lacunarity -> fused features vanish
-    bb = FrozenBackbone.make(seed=0, channels=2)
     cfg = LacunarityConfig(method="base", normalize_input=False)
-    model = FusionModel.build(bb, cfg, num_classes=2, seed=0)
+    model = FusionModel.build(2, cfg, num_classes=2, seed=0)
     feats = np.full((3, 2, 6, 6), 4.0)
     logits = model.forward(feats=feats)
     assert np.allclose(logits, model.classifier_b[None, :])
 
 
 def test_base_branch_uses_global_lacunarity():
-    bb = FrozenBackbone.make(seed=0, channels=5)
     cfg = LacunarityConfig(method="base", normalize_input=False)
-    model = FusionModel.build(bb, cfg, num_classes=3, seed=2)
+    model = FusionModel.build(5, cfg, num_classes=3, seed=2)
     feats = fixture_feats()
     lac = base_lacunarity(feats, cfg)
     fused = lac[:, :, 0, 0] * gap(feats)[:, :, 0, 0]
@@ -159,29 +156,26 @@ def test_base_branch_uses_global_lacunarity():
 
 
 def test_multiscale_model_has_mix_and_param_count():
-    bb = FrozenBackbone.make(seed=0, channels=512)
     cfg = LacunarityConfig(method="multiscale", scales=2)
-    model = FusionModel.build(bb, cfg, num_classes=10, seed=0)
+    model = FusionModel.build(512, cfg, num_classes=10, seed=0)
     assert model.mix is not None
     assert model.mix.param_count() == 1536
     assert model.trainable_param_count() == 1536 + 512 * 10 + 10
 
 
 def test_baseline_model_has_no_mix():
-    bb = FrozenBackbone.make(seed=0, channels=8)
     for name in BASELINE_POOLS:
-        model = FusionModel.build(bb, name, num_classes=4, seed=0)
+        model = FusionModel.build(8, name, num_classes=4, seed=0)
         assert model.mix is None
         assert model.trainable_param_count() == 8 * 4 + 4
     with pytest.raises(ValueError):
-        FusionModel(backbone=bb, pooling="median",
+        FusionModel(pooling="median",
                     classifier_w=np.zeros((2, 8)), classifier_b=np.zeros(2))
 
 
 def test_dbc_branch_defaults_to_local_window_and_gap():
-    bb = FrozenBackbone.make(seed=0, channels=3)
     cfg = LacunarityConfig(method="dbc", dilation_set=(1, 2))
-    model = FusionModel.build(bb, cfg, num_classes=2, seed=0)
+    model = FusionModel.build(3, cfg, num_classes=2, seed=0)
     feats = fixture_feats(c=3)
     planes = model.scale_planes(feats)
     # heights stay 7x7 (identity padding); the 3x3 glide then gives 5x5
@@ -189,13 +183,13 @@ def test_dbc_branch_defaults_to_local_window_and_gap():
     pooled = model.pooling_branch(feats)
     assert pooled.shape == (4, 3, 1, 1)
     assert DBC_DEFAULT_WINDOW == PoolSpec.square(3, stride=1)
+    assert cfg.resolve_window(feats) == DBC_DEFAULT_WINDOW
 
 
 def test_multiscale_branch_pools_mixed_planes():
-    bb = FrozenBackbone.make(seed=0, channels=4)
     cfg = LacunarityConfig(method="multiscale", scales=2,
                            window=PoolSpec.square(2, stride=2))
-    model = FusionModel.build(bb, cfg, num_classes=2, seed=3)
+    model = FusionModel.build(4, cfg, num_classes=2, seed=3)
     feats = fixture_feats(c=4, hw=8)
     planes = model.scale_planes(feats)
     assert planes.shape[1] == 8  # S * C planes, scale-major
@@ -207,28 +201,26 @@ def test_multiscale_branch_pools_mixed_planes():
 
 
 def test_mix_scale_slot_mismatch_rejected():
-    bb = FrozenBackbone.make(seed=0, channels=4)
     cfg = LacunarityConfig(method="multiscale", scales=3)
-    good = FusionModel.build(bb, cfg, num_classes=2, seed=0)
+    good = FusionModel.build(4, cfg, num_classes=2, seed=0)
     from lacuna.tensor import GroupedMixWeights
     with pytest.raises(ShapeMismatchError):
-        FusionModel(backbone=bb, pooling=cfg,
+        FusionModel(pooling=cfg,
                     classifier_w=good.classifier_w,
                     classifier_b=good.classifier_b,
                     mix=GroupedMixWeights.uniform(4, 2))
 
 
 def test_build_rejects_single_class():
-    bb = FrozenBackbone.make(seed=0, channels=4)
     with pytest.raises(ValueError):
-        FusionModel.build(bb, "avg", num_classes=1, seed=0)
+        FusionModel.build(4, "avg", num_classes=1, seed=0)
 
 
 def test_predict_runs_end_to_end_on_images():
     bb = FrozenBackbone.make(seed=0, channels=6)
     cfg = LacunarityConfig(method="multiscale", scales=2)
-    model = FusionModel.build(bb, cfg, num_classes=3, seed=0)
+    model = FusionModel.build(bb.out_channels, cfg, num_classes=3, seed=0)
     images = np.random.default_rng(5).uniform(0, 255, size=(2, 1, 56, 56))
-    preds = model.predict(images)
+    preds = model.predict(bb.features(images))
     assert preds.shape == (2,)
     assert set(preds.tolist()) <= {0, 1, 2}

@@ -17,9 +17,9 @@ from lacuna.train import (
 
 def toy_setup(pooling="avg", classes=3, n_per_class=10, seed=0, channels=6):
     images, labels = toy_dataset(classes, n_per_class, size=56, seed=seed)
-    backbone = FrozenBackbone.make(seed=seed, channels=channels)
-    model = FusionModel.build(backbone, pooling, classes, seed=seed)
-    return model, images, labels
+    feats = FrozenBackbone.make(seed=seed, channels=channels).features(images)
+    model = FusionModel.build(channels, pooling, classes, seed=seed)
+    return model, feats, labels
 
 
 # ------------------------------------------------------------------ configs
@@ -80,19 +80,19 @@ def test_adam_first_step_size_is_lr():
 
 def test_training_is_deterministic():
     cfg = TrainConfig(max_epochs=3, early_stop_patience=2, seed=5)
-    model_a, images, labels = toy_setup()
-    train(model_a, images, labels, cfg)
+    model_a, feats, labels = toy_setup()
+    train(model_a, feats, labels, cfg)
     model_b, _, _ = toy_setup()
-    train(model_b, images, labels, cfg)
+    train(model_b, feats, labels, cfg)
     assert np.array_equal(model_a.classifier_w, model_b.classifier_w)
     assert np.array_equal(model_a.classifier_b, model_b.classifier_b)
 
 
 def test_zero_learning_rate_keeps_weights():
-    model, images, labels = toy_setup()
+    model, feats, labels = toy_setup()
     before = model.classifier_w.copy()
     cfg = TrainConfig(learning_rate=0.0, max_epochs=3, early_stop_patience=2)
-    result = train(model, images, labels, cfg)
+    result = train(model, feats, labels, cfg)
     assert np.array_equal(model.classifier_w, before)
     # constant validation loss: first epoch wins, patience runs out after it
     assert result.stopped_early
@@ -102,22 +102,22 @@ def test_zero_learning_rate_keeps_weights():
 
 def test_toy_problem_reaches_full_accuracy():
     # small fused magnitudes make the head converge slowly; give it room
-    model, images, labels = toy_setup(n_per_class=12)
+    model, feats, labels = toy_setup(n_per_class=12)
     cfg = TrainConfig(max_epochs=300, early_stop_patience=60,
                       learning_rate=0.1, seed=0)
-    result = train(model, images, labels, cfg)
-    report = evaluate(model, images, labels, result.test_idx)
+    result = train(model, feats, labels, cfg)
+    report = evaluate(model, feats, labels, result.test_idx)
     assert report.accuracy == 1.0
     assert report.confusion.sum() == len(result.test_idx)
 
 
 def test_best_validation_weights_are_restored():
-    model, images, labels = toy_setup(n_per_class=8)
+    model, feats, labels = toy_setup(n_per_class=8)
     cfg = TrainConfig(max_epochs=25, early_stop_patience=24,
                       learning_rate=0.2, seed=1)
-    result = train(model, images, labels, cfg)
+    result = train(model, feats, labels, cfg)
     from lacuna.train import _HeadState
-    state = _HeadState(model, images, labels)
+    state = _HeadState(model, feats, labels)
     val_loss, _ = state.loss_acc(result.val_idx)
     best = result.history.best_epoch
     assert val_loss == pytest.approx(result.history.val_loss[best - 1])
@@ -126,36 +126,39 @@ def test_best_validation_weights_are_restored():
 
 
 def test_backbone_stays_frozen_through_training():
-    model, images, labels = toy_setup()
-    fingerprint = model.backbone.checksum()
-    train(model, images, labels, TrainConfig(max_epochs=2, early_stop_patience=1))
-    assert model.backbone.checksum() == fingerprint
+    images, labels = toy_dataset(3, 10, size=56, seed=0)
+    backbone = FrozenBackbone.make(seed=0, channels=6)
+    fingerprint = backbone.checksum()
+    model = FusionModel.build(backbone.out_channels, "avg", 3, seed=0)
+    train(model, backbone.features(images), labels,
+          TrainConfig(max_epochs=2, early_stop_patience=1))
+    assert backbone.checksum() == fingerprint
 
 
 def test_mix_weights_receive_gradient():
     cfg_pool = LacunarityConfig(method="multiscale", scales=2)
-    model, images, labels = toy_setup(pooling=cfg_pool)
+    model, feats, labels = toy_setup(pooling=cfg_pool)
     w0 = model.mix.weights.copy()
     b0 = model.mix.bias.copy()
-    train(model, images, labels,
+    train(model, feats, labels,
           TrainConfig(max_epochs=2, early_stop_patience=1, learning_rate=0.05))
     assert not np.array_equal(model.mix.weights, w0)
     assert not np.array_equal(model.mix.bias, b0)
 
 
 def test_divergent_loss_raises():
-    model, images, labels = toy_setup()
+    model, feats, labels = toy_setup()
     model.classifier_w[0, 0] = np.nan
     with pytest.raises(DivergenceError):
-        train(model, images, labels,
+        train(model, feats, labels,
               TrainConfig(max_epochs=2, early_stop_patience=1))
 
 
 def test_history_tracks_every_epoch():
-    model, images, labels = toy_setup()
+    model, feats, labels = toy_setup()
     cfg = TrainConfig(max_epochs=4, early_stop_patience=3, batch_size=7,
                       learning_rate=0.01, seed=2)
-    result = train(model, images, labels, cfg)
+    result = train(model, feats, labels, cfg)
     h = result.history
     n = h.epochs()
     assert n >= 1
@@ -166,15 +169,15 @@ def test_history_tracks_every_epoch():
 # --------------------------------------------------------------- evaluation
 
 def test_evaluate_confusion_orientation():
-    model, images, labels = toy_setup(classes=2, n_per_class=5)
+    model, feats, labels = toy_setup(classes=2, n_per_class=5)
     model.classifier_w[...] = 0.0
     model.classifier_b[...] = [0.0, 1.0]  # always predicts class 1
-    report = evaluate(model, images, labels)
+    report = evaluate(model, feats, labels)
     assert report.confusion.tolist() == [[0, 5], [0, 5]]
     assert report.accuracy == 0.5
 
 
 def test_evaluate_rejects_empty_sets():
-    model, images, labels = toy_setup(classes=2, n_per_class=5)
+    model, feats, labels = toy_setup(classes=2, n_per_class=5)
     with pytest.raises(EmptySplitError):
-        evaluate(model, images, labels, np.array([], dtype=int))
+        evaluate(model, feats, labels, np.array([], dtype=int))
