@@ -7,6 +7,7 @@ input file, 3 training divergence, 4 gradient-check failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .experiment import (
@@ -85,6 +86,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_lacmap(args) -> int:
+    if args.stride is not None and args.window is None:
+        print("usage error: --stride needs --window", file=sys.stderr)
+        return EXIT_USAGE
     try:
         pixels, maxval = read_pgm_raw(args.input)
     except (OSError, PgmError) as exc:
@@ -150,19 +154,25 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seeds < 1 or args.probes < 1 or not 0 < args.tol < math.inf:
+        print("usage error: --seeds and --probes must be >= 1, --tol a "
+              "positive finite number", file=sys.stderr)
+        return EXIT_USAGE
     reports = run_gradient_suite(seeds=range(args.seeds), tol=args.tol,
                                  probes=args.probes)
     by_op: dict[str, list] = {}
     for rep in reports:
         by_op.setdefault(rep.op_id, []).append(rep)
     failed = False
-    print(f"{'operation':<24} {'status':<6} {'max_rel':>10} {'runs':>5}")
+    print(f"{'operation':<24} {'status':<6} {'max_rel':>10} {'runs':>5} "
+          f"{'resampled':>9}")
     for op_id, group in by_op.items():
         ok = all(r.passed for r in group)
         failed = failed or not ok
         worst = max(r.max_rel_error for r in group)
+        resampled = sum(r.resampled for r in group)
         print(f"{op_id:<24} {'pass' if ok else 'FAIL':<6} "
-              f"{worst:>10.3e} {len(group):>5}")
+              f"{worst:>10.3e} {len(group):>5} {resampled:>9}")
     return EXIT_GRADCHECK if failed else EXIT_OK
 
 

@@ -1,12 +1,16 @@
 """Deterministic training loop for the fusion model's trainable head.
 
 `train` and `evaluate` take the frozen backbone's feature tensor (or features
-read from a file), never images.  Training precomputes the GAP branch and the
-mix-independent scale planes once; each step then only re-runs the mix, the
-fusion product, and the classifier.  Optimization is adaptive moment
-estimation over a name-sorted parameter dict, batches follow a seeded
-permutation, and early stopping watches validation loss with the
-best-validation weights restored at the end.
+read from a file), never images.  Training validates the features and
+reduces them once, to the (N, C) GAP branch plus either the (N, C) frozen
+pooling branch or the (N, C, S) spatially averaged scale planes.  A step then
+runs on those per-sample vectors: the mix, the fusion product, the
+classifier, one softmax shared by loss and gradient, and hand-written
+gradients, with no 4-D tensor ops.  The trainable arrays live in one flat
+buffer, ordered by parameter name, that the model's arrays are views into;
+adaptive moment estimation updates it in one pass per step.  Batches follow a
+seeded permutation, and early stopping watches validation loss with the
+best-validation buffer restored at the end.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradcheck import backward
-from .model import FusionModel, linear_classifier, softmax_cross_entropy
-from .tensor import as_feature_map, elementwise_mul, gap, mix_scales
+from .model import FusionModel
+from .tensor import as_feature_map, gap
 
 
 class EmptySplitError(ValueError):
@@ -147,76 +150,100 @@ class EvalReport:
     confusion: np.ndarray  # rows: true class, columns: predicted
 
 
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray
+                   ) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy and the softmax it came from."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    nll = np.log(total[:, 0]) - z[np.arange(len(labels)), labels]
+    # the arithmetic of np.mean, without its per-call overhead
+    return float(nll.sum() / len(labels)), e / total
+
+
 class _HeadState:
-    """Precomputed frozen tensors + trainable views for the model head."""
+    """The head's inputs reduced to per-sample vectors, plus one flat buffer.
+
+    Features are validated and pooled once: `gapped` is the (N, C) GAP
+    branch and `pooled` either the frozen (N, C) pooling branch or, when the
+    branch mixes scales, the (N, C, S) scale planes averaged over space.
+    GAP commutes with the mix (a per-channel linear map over scales whose
+    bias is constant over space), so averaging before mixing changes the
+    values only by rounding.
+
+    The trainable arrays live in `flat`, ordered by sorted name, and the
+    model's classifier and mix arrays are rebound to views into it; `grad`
+    has the same layout.
+    """
 
     def __init__(self, model: FusionModel, feats: np.ndarray,
                  labels: np.ndarray):
-        self.model = model
         feats = as_feature_map(feats, "features")
         if feats.shape[0] != len(labels):
             raise ValueError(
                 f"{feats.shape[0]} feature rows for {len(labels)} labels")
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.gapped = gap(feats)
-        self.planes = model.scale_planes(feats)
-        self.static_lac = (model.pooling_branch(feats)
-                           if self.planes is None else None)
-
-    def params(self) -> dict[str, np.ndarray]:
-        out = {"classifier_w": self.model.classifier_w,
-               "classifier_b": self.model.classifier_b}
-        if self.model.mix is not None:
-            out["mix_weights"] = self.model.mix.weights
-            out["mix_bias"] = self.model.mix.bias
-        return out
-
-    def forward(self, idx: np.ndarray):
-        """Logits plus the intermediates the backward pass reuses."""
-        m = self.model
-        cache = {"gapped": self.gapped[idx]}
-        if self.planes is None:
-            lac = self.static_lac[idx]
+        self.gapped = gap(feats)[:, :, 0, 0]
+        planes = model.scale_planes(feats)
+        self.mixing = planes is not None
+        if self.mixing:
+            self.pooled = gap(planes).reshape(*self.gapped.shape, -1)
         else:
-            planes = self.planes[idx]
-            mixed = mix_scales(planes, m.mix)
-            cache["planes"] = planes
-            cache["mixed"] = mixed
-            lac = gap(mixed) if mixed.shape[2:] != (1, 1) else mixed
-        cache["lac"] = lac
-        fused = elementwise_mul(lac, cache["gapped"])
-        cache["fused2d"] = fused[:, :, 0, 0]
-        logits = linear_classifier(cache["fused2d"], m.classifier_w,
-                                   m.classifier_b)
-        return logits, cache
+            self.pooled = model.pooling_branch(feats)[:, :, 0, 0]
 
-    def gradients(self, idx: np.ndarray, logits: np.ndarray,
-                  cache: dict) -> dict[str, np.ndarray]:
-        m = self.model
-        (d_logits,) = backward("softmax_cross_entropy",
-                               (logits, self.labels[idx]), 1.0)
-        d_fused2d, d_w, d_b = backward(
-            "linear_classifier",
-            (cache["fused2d"], m.classifier_w, m.classifier_b), d_logits)
-        grads = {"classifier_w": d_w, "classifier_b": d_b}
-        if self.planes is not None:
-            d_fused = d_fused2d[:, :, None, None]
-            d_lac, _ = backward("elementwise_mul",
-                                (cache["lac"], cache["gapped"]), d_fused)
-            if cache["mixed"].shape[2:] != (1, 1):
-                (d_mixed,) = backward("gap", (cache["mixed"],), d_lac)
-            else:
-                d_mixed = d_lac
-            _, d_mw, d_mb = backward("mix_scales",
-                                     (cache["planes"], m.mix), d_mixed)
-            grads["mix_weights"] = d_mw
-            grads["mix_bias"] = d_mb
-        return grads
+        arrays = {"classifier_b": model.classifier_b,
+                  "classifier_w": model.classifier_w}
+        if self.mixing:
+            arrays["mix_bias"] = model.mix.bias
+            arrays["mix_weights"] = model.mix.weights
+        names = sorted(arrays)
+        cuts = np.cumsum([arrays[k].size for k in names])[:-1]
+        self.flat = np.concatenate([arrays[k].ravel() for k in names])
+        self.grad = np.zeros_like(self.flat)
+        self.params = {k: v.reshape(arrays[k].shape)
+                       for k, v in zip(names, np.split(self.flat, cuts))}
+        self.grads = {k: v.reshape(arrays[k].shape)
+                      for k, v in zip(names, np.split(self.grad, cuts))}
+        model.classifier_b = self.params["classifier_b"]
+        model.classifier_w = self.params["classifier_w"]
+        if self.mixing:
+            model.mix.bias = self.params["mix_bias"]
+            model.mix.weights = self.params["mix_weights"]
+
+    def _forward(self, idx: np.ndarray):
+        """Logits and classifier input for a batch, plus its GAP rows."""
+        p = self.params
+        gapped = self.gapped[idx]
+        lac = self.pooled[idx]
+        if self.mixing:
+            lac = np.einsum("ncs,cs->nc", lac, p["mix_weights"]) + p["mix_bias"]
+        fused = lac * gapped
+        return fused @ p["classifier_w"].T + p["classifier_b"], fused, gapped
+
+    def loss_grad(self, idx: np.ndarray) -> tuple[float, int]:
+        """Batch loss and hit count; fills `grad` when the loss is finite."""
+        labels = self.labels[idx]
+        logits, fused, gapped = self._forward(idx)
+        loss, d_logits = _cross_entropy(logits, labels)
+        hits = int(np.count_nonzero(logits.argmax(axis=1) == labels))
+        if not np.isfinite(loss):
+            return loss, hits
+        d_logits[np.arange(len(idx)), labels] -= 1.0
+        d_logits /= len(idx)
+        g = self.grads
+        np.matmul(d_logits.T, fused, out=g["classifier_w"])
+        np.add.reduce(d_logits, axis=0, out=g["classifier_b"])
+        if self.mixing:
+            d_lac = (d_logits @ self.params["classifier_w"]) * gapped
+            np.einsum("nc,ncs->cs", d_lac, self.pooled[idx],
+                      out=g["mix_weights"])
+            np.add.reduce(d_lac, axis=0, out=g["mix_bias"])
+        return loss, hits
 
     def loss_acc(self, idx: np.ndarray) -> tuple[float, float]:
-        logits, _ = self.forward(idx)
-        loss = softmax_cross_entropy(logits, self.labels[idx])
-        acc = float(np.mean(np.argmax(logits, axis=1) == self.labels[idx]))
+        logits, _, _ = self._forward(idx)
+        loss, _ = _cross_entropy(logits, self.labels[idx])
+        acc = float(np.mean(logits.argmax(axis=1) == self.labels[idx]))
         return loss, acc
 
 
@@ -233,13 +260,13 @@ def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     train_idx, val_idx, test_idx = split_indices(labels, cfg.seed, fractions)
     state = _HeadState(model, feats, labels)
-    params = state.params()
+    params, grads = {"head": state.flat}, {"head": state.grad}
     opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_opt)
     rng = np.random.default_rng(cfg.seed)
 
     history = History()
     best_val = np.inf
-    best_snapshot = {k: v.copy() for k, v in params.items()}
+    best_snapshot = state.flat.copy()
     bad_epochs = 0
     stopped_early = False
 
@@ -250,14 +277,12 @@ def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
         hit_sum = 0
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            logits, cache = state.forward(idx)
-            loss = softmax_cross_entropy(logits, labels[idx])
+            loss, hits = state.loss_grad(idx)
             if not np.isfinite(loss):
                 raise DivergenceError(f"train loss {loss} at epoch {epoch}")
-            grads = state.gradients(idx, logits, cache)
             opt.step(params, grads)
             loss_sum += loss * len(idx)
-            hit_sum += int(np.sum(np.argmax(logits, axis=1) == labels[idx]))
+            hit_sum += hits
             seen += len(idx)
         val_loss, val_acc = state.loss_acc(val_idx)
         if not np.isfinite(val_loss):
@@ -270,7 +295,7 @@ def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
         if val_loss < best_val:
             best_val = val_loss
             history.best_epoch = epoch
-            best_snapshot = {k: v.copy() for k, v in params.items()}
+            best_snapshot = state.flat.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -278,8 +303,7 @@ def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
                 stopped_early = True
                 break
 
-    for k, v in params.items():
-        v[...] = best_snapshot[k]
+    state.flat[...] = best_snapshot
     return TrainResult(history=history, train_idx=train_idx, val_idx=val_idx,
                        test_idx=test_idx, stopped_early=stopped_early)
 

@@ -107,6 +107,14 @@ def test_usage_errors_exit_1(argv, capsys):
     capsys.readouterr()
 
 
+def test_lacmap_stride_without_window_exits_1(tmp_path, texture_pgm, capsys):
+    # a stride only means something for a gliding window
+    out = tmp_path / "o.pgm"
+    assert cli.main(["lacmap", "--stride", "4", texture_pgm, str(out)]) == 1
+    assert not out.exists()
+    assert "--stride" in capsys.readouterr().err
+
+
 def test_lacmap_bad_flag_combination_exits_1(tmp_path, texture_pgm, capsys):
     # even box-counting window and over-deep pyramid are usage errors
     out = str(tmp_path / "o.pgm")
@@ -181,6 +189,37 @@ def test_gradcheck_passes_and_prints_table(capsys):
     for op_id in gradcheck.CHECKED_OPS:
         assert op_id in out
     assert "FAIL" not in out
+    header, *rows = out.splitlines()
+    assert header.split() == ["operation", "status", "max_rel", "runs",
+                              "resampled"]
+    assert len(rows) == len(gradcheck.CHECKED_OPS)
+    for row in rows:
+        fields = row.split()
+        assert fields[1] == "pass" and fields[3] == "2"
+        assert int(fields[4]) >= 0
+
+
+def test_gradcheck_resampled_column_sums_reports(monkeypatch, capsys):
+    def fake_suite(seeds, tol, probes):
+        return [gradcheck.GradCheckReport("pool_max", 1e-9, 1e-9, probes, tol,
+                                          True, resampled=r) for r in (3, 4)]
+
+    monkeypatch.setattr(cli, "run_gradient_suite", fake_suite)
+    assert cli.main(["gradcheck", "--seeds", "2"]) == 0
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    assert row.split() == ["pool_max", "pass", "1.000e-09", "2", "7"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seeds", "0"], ["--seeds", "-3"], ["--probes", "0"], ["--tol", "0"],
+    ["--tol", "-1e-4"], ["--tol", "nan"], ["--tol", "inf"],
+])
+def test_gradcheck_empty_or_vacuous_runs_exit_1(flags, capsys):
+    # a run that checks nothing, or cannot fail, is a usage error, not a pass
+    assert cli.main(["gradcheck", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
 
 
 def test_gradcheck_detects_sabotaged_backward(monkeypatch, capsys):

@@ -7,6 +7,7 @@ from lacuna.tensor import (
     PoolSpec,
     ShapeMismatchError,
     elementwise_mul,
+    gap,
     mix_scales,
     pool_avg,
     pool_l2,
@@ -215,6 +216,31 @@ def test_mix_scales_matches_dot_product_oracle():
     np.testing.assert_allclose(
         mix_scales(x, mix), ref_mix(x, mix.weights, mix.bias), rtol=1e-12, atol=1e-14
     )
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
+def test_gap_commutes_with_mix(n, c, s, h, w, seed):
+    # the mix is per-channel linear over scales with a spatially constant bias
+    rng = np.random.default_rng(seed)
+    planes = rng.normal(size=(n, c * s, h, w)) * rng.uniform(0.1, 100.0)
+    mix = GroupedMixWeights(rng.normal(size=(c, s)), rng.normal(size=c))
+    lhs = gap(mix_scales(planes, mix))
+    rhs = mix_scales(gap(planes), mix)
+    scale = (np.abs(planes).max() * np.abs(mix.weights).sum(axis=1).max()
+             + np.abs(mix.bias).max())
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6),
+       st.integers(1, 5), st.integers(1, 5), st.integers(0, 10_000))
+def test_uniform_mix_of_identical_planes_is_identity(n, c, s, h, w, seed):
+    x = np.random.default_rng(seed).normal(size=(n, c, h, w))
+    stacked = np.repeat(x, s, axis=1)  # channel c's S planes all equal x[:, c]
+    out = mix_scales(stacked, GroupedMixWeights.uniform(c, s))
+    np.testing.assert_allclose(out, x, rtol=1e-12, atol=0.0)
 
 
 def test_mix_scales_channel_mismatch():

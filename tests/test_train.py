@@ -1,14 +1,24 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from lacuna import gradcheck, lacunarity, model as model_mod, tensor
 from lacuna.lacunarity import LacunarityConfig
-from lacuna.model import FrozenBackbone, FusionModel
+from lacuna.model import (
+    FrozenBackbone,
+    FusionModel,
+    linear_classifier,
+    softmax_cross_entropy,
+)
+from lacuna.tensor import elementwise_mul, gap, mix_scales
 from lacuna.textures import toy_dataset
 from lacuna.train import (
     Adam,
     DivergenceError,
     EmptySplitError,
     TrainConfig,
+    _HeadState,
     evaluate,
     split_indices,
     train,
@@ -116,7 +126,6 @@ def test_best_validation_weights_are_restored():
     cfg = TrainConfig(max_epochs=25, early_stop_patience=24,
                       learning_rate=0.2, seed=1)
     result = train(model, feats, labels, cfg)
-    from lacuna.train import _HeadState
     state = _HeadState(model, feats, labels)
     val_loss, _ = state.loss_acc(result.val_idx)
     best = result.history.best_epoch
@@ -164,6 +173,133 @@ def test_history_tracks_every_epoch():
     assert n >= 1
     assert len(h.train_acc) == len(h.val_loss) == len(h.val_acc) == n
     assert all(np.isfinite(v) for v in h.train_loss + h.val_loss)
+
+
+# ------------------------------------------------------- head gradient oracle
+
+HEADS = {
+    "base": LacunarityConfig(method="base"),
+    "avg": "avg",
+    "dbc": LacunarityConfig(method="dbc"),
+    "multiscale": LacunarityConfig(method="multiscale", scales=2),
+}
+
+
+def oracle_head(name):
+    """A toy head with every trainable array moved off its initial values."""
+    model, feats, labels = toy_setup(pooling=HEADS[name], channels=4,
+                                     n_per_class=6)
+    rng = np.random.default_rng(11)
+    model.classifier_w[...] = rng.normal(size=model.classifier_w.shape) * 5.0
+    model.classifier_b[...] = rng.normal(size=model.classifier_b.shape)
+    if model.mix is not None:
+        model.mix.weights[...] = rng.normal(size=model.mix.weights.shape)
+        model.mix.bias[...] = rng.normal(size=model.mix.bias.shape)
+    idx = np.random.default_rng(3).permutation(len(labels))[:7]
+    return model, feats, labels, idx
+
+
+def registry_gradients(model, feats, labels, idx):
+    """Loss and head gradients through the 4-D ops and the vjp registry."""
+    back = gradcheck.backward
+    gapped = gap(feats[idx])
+    planes = model.scale_planes(feats)
+    if planes is None:
+        lac = model.pooling_branch(feats)[idx]
+    else:
+        planes = planes[idx]
+        mixed = mix_scales(planes, model.mix)
+        lac = gap(mixed)
+    fused = elementwise_mul(lac, gapped)[:, :, 0, 0]
+    w, b = model.classifier_w, model.classifier_b
+    logits = linear_classifier(fused, w, b)
+    (d_logits,) = back("softmax_cross_entropy", (logits, labels[idx]), 1.0)
+    d_fused, d_w, d_b = back("linear_classifier", (fused, w, b), d_logits)
+    grads = {"classifier_w": d_w, "classifier_b": d_b}
+    if planes is not None:
+        d_lac, _ = back("elementwise_mul", (lac, gapped),
+                        d_fused[:, :, None, None])
+        (d_mixed,) = back("gap", (mixed,), d_lac)
+        _, grads["mix_weights"], grads["mix_bias"] = back(
+            "mix_scales", (planes, model.mix), d_mixed)
+    return softmax_cross_entropy(logits, labels[idx]), grads
+
+
+@pytest.mark.parametrize("name", sorted(HEADS))
+def test_flat_step_gradient_matches_registry_chain(name):
+    model, feats, labels, idx = oracle_head(name)
+    want_loss, want = registry_gradients(model, feats, labels, idx)
+    state = _HeadState(model, feats, labels)
+    loss, hits = state.loss_grad(idx)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert 0 <= hits <= len(idx)
+    assert sorted(state.grads) == sorted(want)
+    assert ("mix_weights" in want) == (name in ("dbc", "multiscale"))
+    for key, grad in want.items():
+        assert np.abs(grad).max() > 0
+        np.testing.assert_allclose(state.grads[key], grad, rtol=1e-10,
+                                   atol=1e-12 * np.abs(grad).max())
+
+
+@pytest.mark.parametrize("name", sorted(HEADS))
+def test_flat_step_gradient_matches_central_differences(name):
+    model, feats, labels, idx = oracle_head(name)
+    state = _HeadState(model, feats, labels)
+    state.loss_grad(idx)
+    analytic = state.grad.copy()
+    numeric = np.empty_like(analytic)
+    h = 1e-5
+    for j in range(state.flat.size):
+        old = state.flat[j]
+        state.flat[j] = old + h
+        up, _ = state.loss_acc(idx)
+        state.flat[j] = old - h
+        down, _ = state.loss_acc(idx)
+        state.flat[j] = old
+        numeric[j] = (up - down) / (2.0 * h)
+    np.testing.assert_allclose(numeric, analytic, rtol=1e-6,
+                               atol=1e-6 * np.abs(analytic).max())
+
+
+def test_head_arrays_are_views_of_the_flat_buffer():
+    model, feats, labels, _ = oracle_head("dbc")
+    before = {"classifier_b": model.classifier_b.copy(),
+              "classifier_w": model.classifier_w.copy(),
+              "mix_bias": model.mix.bias.copy(),
+              "mix_weights": model.mix.weights.copy()}
+    state = _HeadState(model, feats, labels)
+    # one buffer, ordered by sorted name, holding the values the model had
+    assert list(state.params) == sorted(before)
+    np.testing.assert_array_equal(
+        state.flat, np.concatenate([before[k].ravel() for k in sorted(before)]))
+    for arr in (model.classifier_b, model.classifier_w, model.mix.bias,
+                model.mix.weights):
+        assert np.shares_memory(arr, state.flat)
+
+
+@pytest.mark.parametrize("name", ["avg", "dbc"])
+def test_training_validates_features_only_at_entry(name, monkeypatch):
+    calls = [0]
+    real = tensor.as_feature_map
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    # the package re-exports the function `train` under the module's name
+    train_mod = importlib.import_module("lacuna.train")
+    for module in (tensor, lacunarity, model_mod, train_mod):
+        monkeypatch.setattr(module, "as_feature_map", counting)
+    model, feats, labels = toy_setup(pooling=HEADS[name])
+    calls[0] = 0
+    _HeadState(model, feats, labels)
+    at_entry = calls[0]
+    assert at_entry > 0
+    model, _, _ = toy_setup(pooling=HEADS[name])
+    calls[0] = 0
+    train(model, feats, labels,
+          TrainConfig(max_epochs=3, early_stop_patience=2, batch_size=4))
+    assert calls[0] == at_entry
 
 
 # --------------------------------------------------------------- evaluation
