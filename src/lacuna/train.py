@@ -6,11 +6,10 @@ reduces them once, to the (N, C) GAP branch plus either the (N, C) frozen
 pooling branch or the (N, C, S) spatially averaged scale planes.  A step then
 runs on those per-sample vectors: the mix, the fusion product, the
 classifier, one softmax shared by loss and gradient, and hand-written
-gradients, with no 4-D tensor ops.  The trainable arrays live in one flat
-buffer, ordered by parameter name, that the model's arrays are views into;
-adaptive moment estimation updates it in one pass per step.  Batches follow a
-seeded permutation, and early stopping watches validation loss with the
-best-validation buffer restored at the end.
+gradients, with no 4-D tensor ops; adaptive moment estimation then updates
+the model's classifier and mix arrays in place.  Batches follow a seeded
+permutation, and early stopping watches validation loss with the
+best-validation weights restored at the end.
 """
 
 from __future__ import annotations
@@ -161,8 +160,16 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray
     return float(nll.sum() / len(labels)), e / total
 
 
+def _checked_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Labels as int64, raising unless each one names one of the classes."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("labels out of range for the logit width")
+    return labels
+
+
 class _HeadState:
-    """The head's inputs reduced to per-sample vectors, plus one flat buffer.
+    """The head's inputs reduced to per-sample vectors, plus its gradients.
 
     Features are validated and pooled once: `gapped` is the (N, C) GAP
     branch and `pooled` either the frozen (N, C) pooling branch or, when the
@@ -171,9 +178,8 @@ class _HeadState:
     bias is constant over space), so averaging before mixing changes the
     values only by rounding.
 
-    The trainable arrays live in `flat`, ordered by sorted name, and the
-    model's classifier and mix arrays are rebound to views into it; `grad`
-    has the same layout.
+    `params` names the model's own classifier and mix arrays, which the
+    optimizer updates in place; `grads` holds one same-shaped array each.
     """
 
     def __init__(self, model: FusionModel, feats: np.ndarray,
@@ -182,7 +188,7 @@ class _HeadState:
         if feats.shape[0] != len(labels):
             raise ValueError(
                 f"{feats.shape[0]} feature rows for {len(labels)} labels")
-        self.labels = np.asarray(labels, dtype=np.int64)
+        self.labels = _checked_labels(labels, model.classifier_b.size)
         self.gapped = gap(feats)[:, :, 0, 0]
         planes = model.scale_planes(feats)
         self.mixing = planes is not None
@@ -190,25 +196,12 @@ class _HeadState:
             self.pooled = gap(planes).reshape(*self.gapped.shape, -1)
         else:
             self.pooled = model.pooling_branch(feats)[:, :, 0, 0]
-
-        arrays = {"classifier_b": model.classifier_b,
-                  "classifier_w": model.classifier_w}
+        self.params = {"classifier_b": model.classifier_b,
+                       "classifier_w": model.classifier_w}
         if self.mixing:
-            arrays["mix_bias"] = model.mix.bias
-            arrays["mix_weights"] = model.mix.weights
-        names = sorted(arrays)
-        cuts = np.cumsum([arrays[k].size for k in names])[:-1]
-        self.flat = np.concatenate([arrays[k].ravel() for k in names])
-        self.grad = np.zeros_like(self.flat)
-        self.params = {k: v.reshape(arrays[k].shape)
-                       for k, v in zip(names, np.split(self.flat, cuts))}
-        self.grads = {k: v.reshape(arrays[k].shape)
-                      for k, v in zip(names, np.split(self.grad, cuts))}
-        model.classifier_b = self.params["classifier_b"]
-        model.classifier_w = self.params["classifier_w"]
-        if self.mixing:
-            model.mix.bias = self.params["mix_bias"]
-            model.mix.weights = self.params["mix_weights"]
+            self.params["mix_bias"] = model.mix.bias
+            self.params["mix_weights"] = model.mix.weights
+        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def _forward(self, idx: np.ndarray):
         """Logits and classifier input for a batch, plus its GAP rows."""
@@ -221,7 +214,7 @@ class _HeadState:
         return fused @ p["classifier_w"].T + p["classifier_b"], fused, gapped
 
     def loss_grad(self, idx: np.ndarray) -> tuple[float, int]:
-        """Batch loss and hit count; fills `grad` when the loss is finite."""
+        """Batch loss and hit count; fills `grads` when the loss is finite."""
         labels = self.labels[idx]
         logits, fused, gapped = self._forward(idx)
         loss, d_logits = _cross_entropy(logits, labels)
@@ -255,18 +248,18 @@ def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
 
     Deterministic given cfg.seed: the split, every shuffle, and all update
     arithmetic follow fixed orders.  Raises DivergenceError on non-finite
-    loss and EmptySplitError when the data cannot cover the split.
+    loss, EmptySplitError when the data cannot cover the split and
+    ValueError when a label names no class of the head.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    train_idx, val_idx, test_idx = split_indices(labels, cfg.seed, fractions)
     state = _HeadState(model, feats, labels)
-    params, grads = {"head": state.flat}, {"head": state.grad}
+    train_idx, val_idx, test_idx = split_indices(state.labels, cfg.seed,
+                                                 fractions)
     opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_opt)
     rng = np.random.default_rng(cfg.seed)
 
     history = History()
     best_val = np.inf
-    best_snapshot = state.flat.copy()
+    best_snapshot = {k: v.copy() for k, v in state.params.items()}
     bad_epochs = 0
     stopped_early = False
 
@@ -280,7 +273,7 @@ def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
             loss, hits = state.loss_grad(idx)
             if not np.isfinite(loss):
                 raise DivergenceError(f"train loss {loss} at epoch {epoch}")
-            opt.step(params, grads)
+            opt.step(state.params, state.grads)
             loss_sum += loss * len(idx)
             hit_sum += hits
             seen += len(idx)
@@ -295,7 +288,7 @@ def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
         if val_loss < best_val:
             best_val = val_loss
             history.best_epoch = epoch
-            best_snapshot = state.flat.copy()
+            best_snapshot = {k: v.copy() for k, v in state.params.items()}
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -303,7 +296,8 @@ def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
                 stopped_early = True
                 break
 
-    state.flat[...] = best_snapshot
+    for k, v in state.params.items():
+        v[...] = best_snapshot[k]
     return TrainResult(history=history, train_idx=train_idx, val_idx=val_idx,
                        test_idx=test_idx, stopped_early=stopped_early)
 
@@ -311,7 +305,7 @@ def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
 def evaluate(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
              indices: np.ndarray | None = None) -> EvalReport:
     """Accuracy and confusion matrix (rows true, columns predicted)."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _checked_labels(labels, model.classifier_b.size)
     idx = np.arange(len(labels)) if indices is None else np.asarray(indices)
     if idx.size == 0:
         raise EmptySplitError("evaluation set is empty")

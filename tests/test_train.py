@@ -246,35 +246,46 @@ def test_flat_step_gradient_matches_central_differences(name):
     model, feats, labels, idx = oracle_head(name)
     state = _HeadState(model, feats, labels)
     state.loss_grad(idx)
-    analytic = state.grad.copy()
-    numeric = np.empty_like(analytic)
     h = 1e-5
-    for j in range(state.flat.size):
-        old = state.flat[j]
-        state.flat[j] = old + h
-        up, _ = state.loss_acc(idx)
-        state.flat[j] = old - h
-        down, _ = state.loss_acc(idx)
-        state.flat[j] = old
-        numeric[j] = (up - down) / (2.0 * h)
-    np.testing.assert_allclose(numeric, analytic, rtol=1e-6,
-                               atol=1e-6 * np.abs(analytic).max())
+    for key, param in state.params.items():
+        analytic = state.grads[key]
+        numeric = np.empty_like(analytic)
+        for j in np.ndindex(param.shape):
+            old = param[j]
+            param[j] = old + h
+            up, _ = state.loss_acc(idx)
+            param[j] = old - h
+            down, _ = state.loss_acc(idx)
+            param[j] = old
+            numeric[j] = (up - down) / (2.0 * h)
+        np.testing.assert_allclose(numeric, analytic, rtol=1e-6,
+                                   atol=1e-6 * np.abs(analytic).max())
 
 
-def test_head_arrays_are_views_of_the_flat_buffer():
+def test_training_updates_the_models_own_arrays():
     model, feats, labels, _ = oracle_head("dbc")
-    before = {"classifier_b": model.classifier_b.copy(),
-              "classifier_w": model.classifier_w.copy(),
-              "mix_bias": model.mix.bias.copy(),
-              "mix_weights": model.mix.weights.copy()}
-    state = _HeadState(model, feats, labels)
-    # one buffer, ordered by sorted name, holding the values the model had
-    assert list(state.params) == sorted(before)
-    np.testing.assert_array_equal(
-        state.flat, np.concatenate([before[k].ravel() for k in sorted(before)]))
-    for arr in (model.classifier_b, model.classifier_w, model.mix.bias,
-                model.mix.weights):
-        assert np.shares_memory(arr, state.flat)
+    held = (model.classifier_b, model.classifier_w, model.mix.bias,
+            model.mix.weights)
+    before = [arr.copy() for arr in held]
+    train(model, feats, labels,
+          TrainConfig(max_epochs=3, early_stop_patience=2, learning_rate=0.05))
+    after = (model.classifier_b, model.classifier_w, model.mix.bias,
+             model.mix.weights)
+    for kept, now, old in zip(held, after, before):
+        assert kept is now
+        assert not np.array_equal(kept, old)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_out_of_range_labels_raise(bad):
+    model, feats, labels = toy_setup()
+    labels = labels.copy()
+    labels[0] = bad
+    with pytest.raises(ValueError, match="labels out of range"):
+        train(model, feats, labels,
+              TrainConfig(max_epochs=2, early_stop_patience=1))
+    with pytest.raises(ValueError, match="labels out of range"):
+        evaluate(model, feats, labels)
 
 
 @pytest.mark.parametrize("name", ["avg", "dbc"])
