@@ -64,10 +64,11 @@ def build_parser() -> _Parser:
                         help="square window size (default: one global window)")
     lacmap.add_argument("--stride", type=int, default=None,
                         help="window stride (default: the window size)")
-    lacmap.add_argument("--scales", type=int, default=2,
-                        help="pyramid levels for --method ms")
-    lacmap.add_argument("--dilations", type=_int_list, default=(1, 2, 3),
-                        help="comma list of box sizes for --method dbc")
+    lacmap.add_argument("--scales", type=int, default=None,
+                        help="pyramid levels for --method ms (default: 2)")
+    lacmap.add_argument("--dilations", type=_int_list, default=None,
+                        help="comma list of box sizes for --method dbc "
+                             "(default: 1,2,3)")
     lacmap.add_argument("--epsilon", type=float, default=1e-6)
     lacmap.add_argument("input", help="input PGM (P2 or P5)")
     lacmap.add_argument("output", help="output heatmap PGM")
@@ -86,9 +87,19 @@ def build_parser() -> _Parser:
 
 
 def _cmd_lacmap(args) -> int:
-    if args.stride is not None and args.window is None:
-        print("usage error: --stride needs --window", file=sys.stderr)
-        return EXIT_USAGE
+    # (flag, what it needs, passed without it); parsed defaults are None
+    misplaced = (
+        ("--stride", "--window",
+         args.stride is not None and args.window is None),
+        ("--scales", "--method ms",
+         args.scales is not None and args.method != "ms"),
+        ("--dilations", "--method dbc",
+         args.dilations is not None and args.method != "dbc"),
+    )
+    for flag, needs, bad in misplaced:
+        if bad:
+            print(f"usage error: {flag} needs {needs}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         pixels, maxval = read_pgm_raw(args.input)
     except (OSError, PgmError) as exc:
@@ -106,14 +117,16 @@ def _cmd_lacmap(args) -> int:
                                    epsilon=args.epsilon)
             heat = base_lacunarity(x, cfg)
         elif args.method == "ms":
+            given = {} if args.scales is None else {"scales": args.scales}
             cfg = LacunarityConfig(method="multiscale", window=window,
-                                   scales=args.scales, epsilon=args.epsilon)
-            mix = GroupedMixWeights.uniform(1, args.scales)
+                                   epsilon=args.epsilon, **given)
+            mix = GroupedMixWeights.uniform(1, cfg.scales)
             heat = multiscale_lacunarity(x, cfg, mix)
         else:
+            given = ({} if args.dilations is None
+                     else {"dilation_set": args.dilations})
             cfg = LacunarityConfig(method="dbc", window=window,
-                                   dilation_set=args.dilations,
-                                   epsilon=args.epsilon)
+                                   epsilon=args.epsilon, **given)
             heat = dbc_lacunarity(x, cfg)
     except ValueError as exc:  # bad flag combination for this input
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,11 @@
 An experiment compares pooling methods on a synthetic texture dataset.  Per
 seed it generates the dataset and runs the frozen backbone over it once; the
 feature tensor is then shared by every method, so the comparison is paired.
-For each (method, seed) pair it builds a fusion head over those features,
-trains it, and scores test accuracy plus a class-separability (FDR) report
-on the fused features.  Results serialize to a fixed-format text file:
-rerunning the same config writes byte-identical bytes.
+Per seed it builds one fusion head per method over those features, trains
+them in lockstep (`train_heads`), and scores each head's test rows once:
+the same fused features give its test accuracy and a class-separability
+(FDR) report.  Results serialize to a fixed-format text file: rerunning the
+same config writes byte-identical bytes.
 
 Configs are INI files (configparser) with an [experiment] section and an
 optional [train] section; see configs/heterogeneity.ini.  The LACUNA_SEED
@@ -24,9 +25,9 @@ import numpy as np
 
 from .lacunarity import LacunarityConfig
 from .metrics import fisher_discriminant_ratio, summarize_log_fdr
-from .model import FrozenBackbone, FusionModel
+from .model import FrozenBackbone, FusionModel, linear_classifier
 from .textures import heterogeneity_dataset, toy_dataset
-from .train import TrainConfig, evaluate, train
+from .train import EvalReport, TrainConfig, confusion_report, train_heads
 
 METHODS = ("base", "dbc", "multiscale", "avg", "max", "l2")
 DATASETS = ("heterogeneity", "toy")
@@ -179,37 +180,49 @@ def _features(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]
     return backbone.features(images), labels
 
 
+def _score(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
+           test_idx: np.ndarray) -> tuple[EvalReport, float]:
+    """Test scores and log-FDR from one pass of the head over the test rows."""
+    fused = model.fused(feats[test_idx])
+    preds = np.argmax(linear_classifier(fused, model.classifier_w,
+                                        model.classifier_b), axis=1)
+    true = labels[test_idx]
+    return (confusion_report(true, preds, model.classifier_b.size),
+            fisher_discriminant_ratio(fused, true).log_fdr)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     seeds = active_seeds(cfg)
-    features = {seed: _features(cfg, seed) for seed in seeds}
+    n = len(cfg.methods)
+    accs, fdrs, epochs = ([[] for _ in range(n)] for _ in range(3))
+    confusions = [np.zeros((cfg.classes, cfg.classes), dtype=np.int64)
+                  for _ in range(n)]
+    for seed in seeds:
+        feats, labels = _features(cfg, seed)
+        models = [FusionModel.build(cfg.backbone_channels,
+                                    pooling_for(cfg, method), cfg.classes,
+                                    seed=seed)
+                  for method in cfg.methods]
+        results = train_heads(models, feats, labels,
+                              replace(cfg.train, seed=seed))
+        for i, (model, result) in enumerate(zip(models, results)):
+            report, log_fdr = _score(model, feats, labels, result.test_idx)
+            accs[i].append(report.accuracy)
+            fdrs[i].append(log_fdr)
+            epochs[i].append(result.history.epochs())
+            confusions[i] += report.confusion
     summaries = []
-    for method in cfg.methods:
-        accs, fdrs, epochs = [], [], []
-        confusion = np.zeros((cfg.classes, cfg.classes), dtype=np.int64)
-        trainable = mix_params = 0
-        for seed in seeds:
-            feats, labels = features[seed]
-            model = FusionModel.build(cfg.backbone_channels,
-                                      pooling_for(cfg, method), cfg.classes,
-                                      seed=seed)
-            result = train(model, feats, labels, replace(cfg.train, seed=seed))
-            report = evaluate(model, feats, labels, result.test_idx)
-            fdr = fisher_discriminant_ratio(model.fused(feats[result.test_idx]),
-                                            labels[result.test_idx])
-            accs.append(report.accuracy)
-            fdrs.append(fdr.log_fdr)
-            epochs.append(result.history.epochs())
-            confusion += report.confusion
-            trainable = model.trainable_param_count()
-            mix_params = model.mix.param_count() if model.mix is not None else 0
-        acc_arr = np.array(accs)
+    for i, (method, model) in enumerate(zip(cfg.methods, models)):
+        acc_arr = np.array(accs[i])
         mean_acc, std_acc = float(acc_arr.mean()), float(acc_arr.std())
-        mean_fdr, std_fdr = summarize_log_fdr(fdrs)
+        mean_fdr, std_fdr = summarize_log_fdr(fdrs[i])
         summaries.append(MethodSummary(
-            method=method, accuracies=tuple(accs), mean_accuracy=mean_acc,
-            std_accuracy=std_acc, log_fdrs=tuple(fdrs), mean_log_fdr=mean_fdr,
-            std_log_fdr=std_fdr, epochs=tuple(epochs), confusion=confusion,
-            trainable_params=trainable, mix_params=mix_params,
+            method=method, accuracies=tuple(accs[i]), mean_accuracy=mean_acc,
+            std_accuracy=std_acc, log_fdrs=tuple(fdrs[i]),
+            mean_log_fdr=mean_fdr, std_log_fdr=std_fdr,
+            epochs=tuple(epochs[i]), confusion=confusions[i],
+            trainable_params=model.trainable_param_count(),
+            mix_params=model.mix.param_count() if model.mix is not None else 0,
         ))
     return ExperimentResult(config=cfg, seeds=seeds, summaries=tuple(summaries))
 

@@ -1,4 +1,4 @@
-"""Deterministic training loop for the fusion model's trainable head.
+"""Deterministic training loop for the fusion model's trainable heads.
 
 `train` and `evaluate` take the frozen backbone's feature tensor (or features
 read from a file), never images.  Training validates the features and
@@ -7,9 +7,15 @@ pooling branch or the (N, C, S) spatially averaged scale planes.  A step then
 runs on those per-sample vectors: the mix, the fusion product, the
 classifier, one softmax shared by loss and gradient, and hand-written
 gradients, with no 4-D tensor ops; adaptive moment estimation then updates
-the model's classifier and mix arrays in place.  Batches follow a seeded
-permutation, and early stopping watches validation loss with the
-best-validation weights restored at the end.
+the trainable arrays.  Batches follow a seeded permutation, and early
+stopping watches validation loss with the best-validation weights restored
+at the end and written into the model's own arrays.
+
+Heads that share features, labels and seed also share the split and the
+batch order, so `train_heads` trains them in lockstep on one stacked state
+with a leading head axis: one step per batch updates every head, and each
+head ends with the same bits as when trained alone.  `train` is a stack of
+one.
 """
 
 from __future__ import annotations
@@ -150,14 +156,17 @@ class EvalReport:
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray
-                   ) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and the softmax it came from."""
-    z = logits - logits.max(axis=1, keepdims=True)
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head mean softmax cross-entropy and the softmax it came from.
+
+    `logits` is (M, B, K) for M heads scoring the same B labelled rows.
+    """
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    total = e.sum(axis=1, keepdims=True)
-    nll = np.log(total[:, 0]) - z[np.arange(len(labels)), labels]
+    total = e.sum(axis=-1, keepdims=True)
+    nll = np.log(total[..., 0]) - z[:, np.arange(len(labels)), labels]
     # the arithmetic of np.mean, without its per-call overhead
-    return float(nll.sum() / len(labels)), e / total
+    return nll.sum(axis=-1) / len(labels), e / total
 
 
 def _checked_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -169,75 +178,216 @@ def _checked_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 class _HeadState:
-    """The head's inputs reduced to per-sample vectors, plus its gradients.
+    """M heads over one feature tensor, reduced to stacked per-sample vectors.
 
     Features are validated and pooled once: `gapped` is the (N, C) GAP
-    branch and `pooled` either the frozen (N, C) pooling branch or, when the
-    branch mixes scales, the (N, C, S) scale planes averaged over space.
-    GAP commutes with the mix (a per-channel linear map over scales whose
-    bias is constant over space), so averaging before mixing changes the
-    values only by rounding.
+    branch every head shares, and `pooled` is (M, N, C, S_max), each head's
+    (N, C, S) scale planes averaged over space or, for a head that does not
+    mix scales, its frozen (N, C) pooling branch in scale slot 0.  GAP
+    commutes with the mix (a per-channel linear map over scales whose bias
+    is constant over space), so averaging before mixing changes the values
+    only by rounding.
 
-    `params` names the model's own classifier and mix arrays, which the
-    optimizer updates in place; `grads` holds one same-shaped array each.
+    `params` holds the stacked trainable arrays, each with a leading head
+    axis; `grads` holds one same-shaped array each.  When any head mixes,
+    every head gets `mix_weights` (M, C, S_max) and `mix_bias` (M, C): a
+    non-mixing head's slot 0 has a frozen weight of 1 and bias of 0, a
+    narrower mix is zero-padded, and `trainable` masks the gradients of
+    those slots to zero, so Adam leaves them bit-exact.  Every op acts on
+    each head's slice alone.
     """
 
-    def __init__(self, model: FusionModel, feats: np.ndarray,
+    def __init__(self, models: list[FusionModel], feats: np.ndarray,
                  labels: np.ndarray):
+        if not models:
+            raise ValueError("need at least one head to train")
+        shape = models[0].classifier_w.shape
+        if any(model.classifier_w.shape != shape for model in models):
+            raise ValueError(
+                "heads differ in class or channel count: "
+                f"{[model.classifier_w.shape for model in models]}")
         feats = as_feature_map(feats, "features")
         if feats.shape[0] != len(labels):
             raise ValueError(
                 f"{feats.shape[0]} feature rows for {len(labels)} labels")
-        self.labels = _checked_labels(labels, model.classifier_b.size)
+        self.labels = _checked_labels(labels, shape[0])
+        self.onehot = np.eye(shape[0])[self.labels]
         self.gapped = gap(feats)[:, :, 0, 0]
-        planes = model.scale_planes(feats)
-        self.mixing = planes is not None
+        m, (n, c) = len(models), self.gapped.shape
+        s_max = max(1 if model.mix is None else model.mix.scales
+                    for model in models)
+        self.pooled = np.zeros((m, n, c, s_max))
+        weights, bias = np.zeros((m, c, s_max)), np.zeros((m, c))
+        self.trainable = {"mix_bias": np.zeros_like(bias),
+                          "mix_weights": np.zeros_like(weights)}
+        for i, model in enumerate(models):
+            planes = model.scale_planes(feats)
+            if planes is None:
+                branch = model.pooling_branch(feats)
+                self.pooled[i, :, :, 0] = branch[:, :, 0, 0]
+                weights[i, :, 0] = 1.0
+                continue
+            s = model.mix.scales
+            self.pooled[i, :, :, :s] = gap(planes).reshape(n, c, s)
+            weights[i, :, :s] = model.mix.weights
+            bias[i] = model.mix.bias
+            self.trainable["mix_weights"][i, :, :s] = 1.0
+            self.trainable["mix_bias"][i] = 1.0
+        arrays = {
+            "classifier_b": np.stack([model.classifier_b for model in models]),
+            "classifier_w": np.stack([model.classifier_w for model in models]),
+        }
+        self.mixing = any(model.mix is not None for model in models)
         if self.mixing:
-            self.pooled = gap(planes).reshape(*self.gapped.shape, -1)
-        else:
-            self.pooled = model.pooling_branch(feats)[:, :, 0, 0]
-        self.params = {"classifier_b": model.classifier_b,
-                       "classifier_w": model.classifier_w}
-        if self.mixing:
-            self.params["mix_bias"] = model.mix.bias
-            self.params["mix_weights"] = model.mix.weights
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+            arrays["mix_bias"] = bias
+            arrays["mix_weights"] = weights
+        # views into one buffer each, so Adam makes one pass per step
+        self.flat = np.concatenate([v.ravel() for v in arrays.values()])
+        self.flat_grad = np.zeros_like(self.flat)
+        self.params, self.grads = {}, {}
+        start = 0
+        for name, value in arrays.items():
+            end = start + value.size
+            self.params[name] = self.flat[start:end].reshape(value.shape)
+            self.grads[name] = self.flat_grad[start:end].reshape(value.shape)
+            start = end
 
     def _forward(self, idx: np.ndarray):
-        """Logits and classifier input for a batch, plus its GAP rows."""
+        """(M, B, K) logits and classifier input, plus the batch's inputs."""
         p = self.params
         gapped = self.gapped[idx]
-        lac = self.pooled[idx]
+        pooled = self.pooled.take(idx, axis=1)
         if self.mixing:
-            lac = np.einsum("ncs,cs->nc", lac, p["mix_weights"]) + p["mix_bias"]
+            lac = (np.einsum("mncs,mcs->mnc", pooled, p["mix_weights"])
+                   + p["mix_bias"][:, None])
+        else:
+            lac = pooled[..., 0]
         fused = lac * gapped
-        return fused @ p["classifier_w"].T + p["classifier_b"], fused, gapped
+        logits = (np.matmul(fused, p["classifier_w"].transpose(0, 2, 1))
+                  + p["classifier_b"][:, None])
+        return logits, fused, gapped, pooled
 
-    def loss_grad(self, idx: np.ndarray) -> tuple[float, int]:
-        """Batch loss and hit count; fills `grads` when the loss is finite."""
+    def loss_grad(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-head batch loss and hit count; fills `grads` for every head.
+
+        A head whose loss is not finite gets non-finite gradients; the
+        caller decides whether that head still counts.
+        """
         labels = self.labels[idx]
-        logits, fused, gapped = self._forward(idx)
-        loss, d_logits = _cross_entropy(logits, labels)
-        hits = int(np.count_nonzero(logits.argmax(axis=1) == labels))
-        if not np.isfinite(loss):
-            return loss, hits
-        d_logits[np.arange(len(idx)), labels] -= 1.0
+        logits, fused, gapped, pooled = self._forward(idx)
+        losses, d_logits = _cross_entropy(logits, labels)
+        hits = (logits.argmax(axis=-1) == labels).sum(axis=-1)
+        d_logits -= self.onehot[idx]
         d_logits /= len(idx)
         g = self.grads
-        np.matmul(d_logits.T, fused, out=g["classifier_w"])
-        np.add.reduce(d_logits, axis=0, out=g["classifier_b"])
+        np.matmul(d_logits.transpose(0, 2, 1), fused, out=g["classifier_w"])
+        np.add.reduce(d_logits, axis=1, out=g["classifier_b"])
         if self.mixing:
-            d_lac = (d_logits @ self.params["classifier_w"]) * gapped
-            np.einsum("nc,ncs->cs", d_lac, self.pooled[idx],
-                      out=g["mix_weights"])
-            np.add.reduce(d_lac, axis=0, out=g["mix_bias"])
-        return loss, hits
+            d_lac = np.matmul(d_logits, self.params["classifier_w"]) * gapped
+            np.add.reduce(d_lac[..., None] * pooled, axis=1,
+                          out=g["mix_weights"])
+            np.add.reduce(d_lac, axis=1, out=g["mix_bias"])
+            for name, mask in self.trainable.items():
+                g[name] *= mask
+        return losses, hits
 
-    def loss_acc(self, idx: np.ndarray) -> tuple[float, float]:
-        logits, _, _ = self._forward(idx)
-        loss, _ = _cross_entropy(logits, self.labels[idx])
-        acc = float(np.mean(logits.argmax(axis=1) == self.labels[idx]))
-        return loss, acc
+    def loss_acc(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-head loss and accuracy on the rows `idx`."""
+        labels = self.labels[idx]
+        logits, _, _, _ = self._forward(idx)
+        losses, _ = _cross_entropy(logits, labels)
+        hits = (logits.argmax(axis=-1) == labels).sum(axis=-1)
+        return losses, hits / len(idx)
+
+    def write_back(self, params: dict[str, np.ndarray],
+                   models: list[FusionModel]) -> None:
+        """Copy each head's slice of `params` into its model's own arrays."""
+        for i, model in enumerate(models):
+            model.classifier_b[...] = params["classifier_b"][i]
+            model.classifier_w[...] = params["classifier_w"][i]
+            if model.mix is not None:
+                model.mix.bias[...] = params["mix_bias"][i]
+                model.mix.weights[...] = \
+                    params["mix_weights"][i, :, :model.mix.scales]
+
+
+def train_heads(models: list[FusionModel], feats: np.ndarray,
+                labels: np.ndarray, cfg: TrainConfig,
+                fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
+                ) -> list[TrainResult]:
+    """Fit several heads over one (N, C, H, W) feature tensor in lockstep.
+
+    Every head sees the same split and batch order, and one optimizer step
+    per batch updates them all; each keeps its own early stopping, history
+    and best-validation weights, and a head that has stopped is no longer
+    checked or recorded.  The loop ends when every head has stopped or at
+    `cfg.max_epochs`; the kept weights are then written into each model's
+    own arrays, in place.  A head trained alone or in a stack ends with the
+    same bits.
+
+    Deterministic given cfg.seed: the split, every shuffle, and all update
+    arithmetic follow fixed orders.  Raises DivergenceError on a non-finite
+    loss of a head still training, EmptySplitError when the data cannot
+    cover the split and ValueError when a label names no class of the heads
+    or the heads differ in class or channel count.
+    """
+    state = _HeadState(models, feats, labels)
+    train_idx, val_idx, test_idx = split_indices(state.labels, cfg.seed,
+                                                 fractions)
+    opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_opt)
+    rng = np.random.default_rng(cfg.seed)
+
+    m = len(models)
+    histories = [History() for _ in range(m)]
+    best_val = np.full(m, np.inf)
+    best_snapshot = {k: v.copy() for k, v in state.params.items()}
+    bad_epochs = np.zeros(m, dtype=np.int64)
+    active = np.ones(m, dtype=bool)
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = train_idx[rng.permutation(len(train_idx))]
+        seen = 0
+        loss_sum = np.zeros(m)
+        hit_sum = np.zeros(m, dtype=np.int64)
+        for lo in range(0, len(order), cfg.batch_size):
+            idx = order[lo:lo + cfg.batch_size]
+            losses, hits = state.loss_grad(idx)
+            diverged = active & ~np.isfinite(losses)
+            if diverged.any():
+                raise DivergenceError(
+                    f"train loss {losses[diverged][0]} at epoch {epoch}")
+            opt.step({"heads": state.flat}, {"heads": state.flat_grad})
+            loss_sum += losses * len(idx)
+            hit_sum += hits
+            seen += len(idx)
+        val_loss, val_acc = state.loss_acc(val_idx)
+        diverged = active & ~np.isfinite(val_loss)
+        if diverged.any():
+            raise DivergenceError(
+                f"validation loss {val_loss[diverged][0]} at epoch {epoch}")
+        for i in np.flatnonzero(active):
+            history = histories[i]
+            history.train_loss.append(float(loss_sum[i] / seen))
+            history.train_acc.append(int(hit_sum[i]) / seen)
+            history.val_loss.append(float(val_loss[i]))
+            history.val_acc.append(float(val_acc[i]))
+            if val_loss[i] < best_val[i]:
+                best_val[i] = val_loss[i]
+                history.best_epoch = epoch
+                for k, v in state.params.items():
+                    best_snapshot[k][i] = v[i]
+                bad_epochs[i] = 0
+            else:
+                bad_epochs[i] += 1
+                if bad_epochs[i] >= cfg.early_stop_patience:
+                    active[i] = False
+        if not active.any():
+            break
+
+    state.write_back(best_snapshot, models)
+    return [TrainResult(history=history, train_idx=train_idx, val_idx=val_idx,
+                        test_idx=test_idx, stopped_early=not running)
+            for history, running in zip(histories, active)]
 
 
 def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
@@ -246,60 +396,18 @@ def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
           ) -> TrainResult:
     """Fit the trainable head on (N, C, H, W) features; pooling stays frozen.
 
-    Deterministic given cfg.seed: the split, every shuffle, and all update
-    arithmetic follow fixed orders.  Raises DivergenceError on non-finite
-    loss, EmptySplitError when the data cannot cover the split and
-    ValueError when a label names no class of the head.
+    A stack of one for `train_heads`, whose contract it shares.
     """
-    state = _HeadState(model, feats, labels)
-    train_idx, val_idx, test_idx = split_indices(state.labels, cfg.seed,
-                                                 fractions)
-    opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_opt)
-    rng = np.random.default_rng(cfg.seed)
+    return train_heads([model], feats, labels, cfg, fractions)[0]
 
-    history = History()
-    best_val = np.inf
-    best_snapshot = {k: v.copy() for k, v in state.params.items()}
-    bad_epochs = 0
-    stopped_early = False
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = train_idx[rng.permutation(len(train_idx))]
-        seen = 0
-        loss_sum = 0.0
-        hit_sum = 0
-        for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            loss, hits = state.loss_grad(idx)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"train loss {loss} at epoch {epoch}")
-            opt.step(state.params, state.grads)
-            loss_sum += loss * len(idx)
-            hit_sum += hits
-            seen += len(idx)
-        val_loss, val_acc = state.loss_acc(val_idx)
-        if not np.isfinite(val_loss):
-            raise DivergenceError(f"validation loss {val_loss} at epoch {epoch}")
-        history.train_loss.append(loss_sum / seen)
-        history.train_acc.append(hit_sum / seen)
-        history.val_loss.append(val_loss)
-        history.val_acc.append(val_acc)
-
-        if val_loss < best_val:
-            best_val = val_loss
-            history.best_epoch = epoch
-            best_snapshot = {k: v.copy() for k, v in state.params.items()}
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.early_stop_patience:
-                stopped_early = True
-                break
-
-    for k, v in state.params.items():
-        v[...] = best_snapshot[k]
-    return TrainResult(history=history, train_idx=train_idx, val_idx=val_idx,
-                       test_idx=test_idx, stopped_early=stopped_early)
+def confusion_report(true: np.ndarray, preds: np.ndarray,
+                     num_classes: int) -> EvalReport:
+    """Accuracy and confusion matrix (rows true, columns predicted)."""
+    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    np.add.at(confusion, (true, preds), 1)
+    accuracy = float(np.trace(confusion) / confusion.sum())
+    return EvalReport(accuracy=accuracy, confusion=confusion)
 
 
 def evaluate(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
@@ -312,10 +420,5 @@ def evaluate(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
     feats = as_feature_map(feats, "features")
     if feats.shape[0] != len(labels):
         raise ValueError(f"{feats.shape[0]} feature rows for {len(labels)} labels")
-    preds = model.predict(feats[idx])
-    true = labels[idx]
-    k = model.classifier_b.size
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (true, preds), 1)
-    accuracy = float(np.trace(confusion) / confusion.sum())
-    return EvalReport(accuracy=accuracy, confusion=confusion)
+    return confusion_report(labels[idx], model.predict(feats[idx]),
+                            model.classifier_b.size)

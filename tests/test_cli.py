@@ -115,6 +115,34 @@ def test_lacmap_stride_without_window_exits_1(tmp_path, texture_pgm, capsys):
     assert "--stride" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--scales", "5"],
+    ["--dilations", "1,9"],
+    ["--method", "dbc", "--scales", "2"],
+    ["--method", "ms", "--dilations", "1,2"],
+])
+def test_lacmap_flag_for_another_method_exits_1(tmp_path, texture_pgm,
+                                                capsys, flags):
+    # --scales only shapes the pyramid, --dilations only the box sizes
+    out = tmp_path / "o.pgm"
+    assert cli.main(["lacmap", *flags, texture_pgm, str(out)]) == 1
+    assert not out.exists()
+    assert flags[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "ms", "--window", "8", "--scales", "2"],
+    ["--method", "dbc", "--window", "7", "--dilations", "1,2,3"],
+])
+def test_lacmap_omitted_method_flags_keep_their_defaults(
+        tmp_path, texture_pgm, capsys, flags):
+    plain, given = tmp_path / "plain.pgm", tmp_path / "given.pgm"
+    assert cli.main(["lacmap", *flags[:-2], texture_pgm, str(plain)]) == 0
+    assert cli.main(["lacmap", *flags, texture_pgm, str(given)]) == 0
+    assert plain.read_bytes() == given.read_bytes()
+    capsys.readouterr()
+
+
 def test_lacmap_bad_flag_combination_exits_1(tmp_path, texture_pgm, capsys):
     # even box-counting window and over-deep pyramid are usage errors
     out = str(tmp_path / "o.pgm")

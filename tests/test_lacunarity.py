@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lacuna.lacunarity import (
     DbcStats,
@@ -19,7 +20,7 @@ from lacuna.lacunarity import (
     tanh_scale,
     variance_ratio,
 )
-from lacuna.tensor import GroupedMixWeights, PoolSpec
+from lacuna.tensor import GroupedMixWeights, PoolSpec, pool_max
 
 from _reference import (
     ref_blur_decimate,
@@ -119,6 +120,59 @@ def test_base_lacunarity_scale_invariant(seed, alpha):
                            normalize_input=False)
     assert np.allclose(base_lacunarity(alpha * x, cfg), base_lacunarity(x, cfg),
                        rtol=1e-6, atol=1e-5)
+
+
+def _finite_maps(max_abs=None):
+    """Small (N, C, H, W) float64 maps of any finite values up to max_abs."""
+    shapes = st.tuples(st.integers(1, 2), st.integers(1, 2),
+                       st.integers(1, 6), st.integers(1, 6))
+    return hnp.arrays(np.float64, shapes, elements=st.floats(
+        min_value=None if max_abs is None else -max_abs, max_value=max_abs,
+        allow_nan=False, allow_infinity=False))
+
+
+def _windows(x, data):
+    """A stride-1 gliding window drawn to fit x, then the global window."""
+    h, w = x.shape[2:]
+    gliding = PoolSpec(data.draw(st.integers(1, h)),
+                       data.draw(st.integers(1, w)), 1, 1)
+    return gliding, PoolSpec.global_window(h, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_finite_maps(), data=st.data())
+def test_base_lacunarity_is_nonnegative_on_finite_input(x, data):
+    for window in _windows(x, data):
+        cfg = LacunarityConfig(method="base", window=window)
+        assert np.all(base_lacunarity(x, cfg) >= 0.0)
+
+
+# without the tanh squashing the window sums square the raw values, so
+# magnitudes stay where the square of a window's sum is still finite
+@settings(max_examples=60, deadline=None)
+@given(x=_finite_maps(max_abs=1e150), data=st.data())
+def test_unnormalized_base_lacunarity_is_nonnegative(x, data):
+    for window in _windows(x, data):
+        cfg = LacunarityConfig(method="base", window=window,
+                               normalize_input=False)
+        assert np.all(base_lacunarity(x, cfg) >= 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_finite_maps(), data=st.data())
+def test_base_lacunarity_and_pool_max_commute_with_flips(x, data):
+    for spec in _windows(x, data):
+        cfg = LacunarityConfig(method="base", window=spec)
+        lac = base_lacunarity(x, cfg)
+        top = pool_max(x, spec)
+        for axis in (2, 3):
+            flipped = np.flip(x, axis=axis)
+            # the window sums run in another order, so only rounding differs
+            np.testing.assert_allclose(base_lacunarity(flipped, cfg),
+                                       np.flip(lac, axis=axis),
+                                       rtol=1e-9, atol=1e-12)
+            assert np.array_equal(pool_max(flipped, spec),
+                                  np.flip(top, axis=axis))
 
 
 def test_base_lacunarity_rejects_wrong_method():

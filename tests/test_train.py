@@ -22,6 +22,7 @@ from lacuna.train import (
     evaluate,
     split_indices,
     train,
+    train_heads,
 )
 
 
@@ -126,8 +127,8 @@ def test_best_validation_weights_are_restored():
     cfg = TrainConfig(max_epochs=25, early_stop_patience=24,
                       learning_rate=0.2, seed=1)
     result = train(model, feats, labels, cfg)
-    state = _HeadState(model, feats, labels)
-    val_loss, _ = state.loss_acc(result.val_idx)
+    state = _HeadState([model], feats, labels)
+    (val_loss,), _ = state.loss_acc(result.val_idx)
     best = result.history.best_epoch
     assert val_loss == pytest.approx(result.history.val_loss[best - 1])
     assert result.history.val_loss[best - 1] == pytest.approx(
@@ -177,12 +178,16 @@ def test_history_tracks_every_epoch():
 
 # ------------------------------------------------------- head gradient oracle
 
-HEADS = {
+METHOD_POOLS = {
     "base": LacunarityConfig(method="base"),
-    "avg": "avg",
     "dbc": LacunarityConfig(method="dbc"),
     "multiscale": LacunarityConfig(method="multiscale", scales=2),
+    "avg": "avg",
+    "max": "max",
+    "l2": "l2",
 }
+HEADS = {name: METHOD_POOLS[name]
+         for name in ("base", "avg", "dbc", "multiscale")}
 
 
 def oracle_head(name):
@@ -229,22 +234,22 @@ def registry_gradients(model, feats, labels, idx):
 def test_flat_step_gradient_matches_registry_chain(name):
     model, feats, labels, idx = oracle_head(name)
     want_loss, want = registry_gradients(model, feats, labels, idx)
-    state = _HeadState(model, feats, labels)
-    loss, hits = state.loss_grad(idx)
+    state = _HeadState([model], feats, labels)
+    (loss,), (hits,) = state.loss_grad(idx)
     assert loss == pytest.approx(want_loss, rel=1e-12)
     assert 0 <= hits <= len(idx)
     assert sorted(state.grads) == sorted(want)
     assert ("mix_weights" in want) == (name in ("dbc", "multiscale"))
     for key, grad in want.items():
         assert np.abs(grad).max() > 0
-        np.testing.assert_allclose(state.grads[key], grad, rtol=1e-10,
+        np.testing.assert_allclose(state.grads[key][0], grad, rtol=1e-10,
                                    atol=1e-12 * np.abs(grad).max())
 
 
 @pytest.mark.parametrize("name", sorted(HEADS))
 def test_flat_step_gradient_matches_central_differences(name):
     model, feats, labels, idx = oracle_head(name)
-    state = _HeadState(model, feats, labels)
+    state = _HeadState([model], feats, labels)
     state.loss_grad(idx)
     h = 1e-5
     for key, param in state.params.items():
@@ -253,9 +258,9 @@ def test_flat_step_gradient_matches_central_differences(name):
         for j in np.ndindex(param.shape):
             old = param[j]
             param[j] = old + h
-            up, _ = state.loss_acc(idx)
+            (up,), _ = state.loss_acc(idx)
             param[j] = old - h
-            down, _ = state.loss_acc(idx)
+            (down,), _ = state.loss_acc(idx)
             param[j] = old
             numeric[j] = (up - down) / (2.0 * h)
         np.testing.assert_allclose(numeric, analytic, rtol=1e-6,
@@ -303,7 +308,7 @@ def test_training_validates_features_only_at_entry(name, monkeypatch):
         monkeypatch.setattr(module, "as_feature_map", counting)
     model, feats, labels = toy_setup(pooling=HEADS[name])
     calls[0] = 0
-    _HeadState(model, feats, labels)
+    _HeadState([model], feats, labels)
     at_entry = calls[0]
     assert at_entry > 0
     model, _, _ = toy_setup(pooling=HEADS[name])
@@ -311,6 +316,122 @@ def test_training_validates_features_only_at_entry(name, monkeypatch):
     train(model, feats, labels,
           TrainConfig(max_epochs=3, early_stop_patience=2, batch_size=4))
     assert calls[0] == at_entry
+
+
+# --------------------------------------------------------- lockstep training
+
+def head_arrays(model):
+    mix = () if model.mix is None else (model.mix.weights, model.mix.bias)
+    return (model.classifier_w, model.classifier_b, *mix)
+
+
+def test_lockstep_heads_match_solo_training_bit_for_bit():
+    cfg = TrainConfig(max_epochs=20, early_stop_patience=2, learning_rate=1.0,
+                      seed=1)
+    stack = [toy_setup(pooling=pool)[0] for pool in METHOD_POOLS.values()]
+    _, feats, labels = toy_setup()
+    results = train_heads(stack, feats, labels, cfg)
+    epochs = [r.history.epochs() for r in results]
+    # the heads stop at different epochs, and one runs to the end
+    assert len(set(epochs)) >= 4 and max(epochs) == cfg.max_epochs
+    assert any(r.stopped_early for r in results)
+    assert not all(r.stopped_early for r in results)
+    for pool, model, result in zip(METHOD_POOLS.values(), stack, results):
+        solo_model = toy_setup(pooling=pool)[0]
+        solo = train(solo_model, feats, labels, cfg)
+        for got, want in zip(head_arrays(model), head_arrays(solo_model),
+                             strict=True):
+            assert np.array_equal(got, want)
+        assert result.history == solo.history
+        assert result.stopped_early == solo.stopped_early
+        for part in ("train_idx", "val_idx", "test_idx"):
+            assert np.array_equal(getattr(result, part), getattr(solo, part))
+
+
+def test_nan_in_one_head_of_a_stack_raises():
+    stack = [toy_setup(pooling=pool)[0] for pool in METHOD_POOLS.values()]
+    _, feats, labels = toy_setup()
+    stack[2].classifier_w[1, 0] = np.nan
+    with pytest.raises(DivergenceError, match="train loss nan at epoch 1"):
+        train_heads(stack, feats, labels,
+                    TrainConfig(max_epochs=2, early_stop_patience=1))
+
+
+def test_heads_with_mismatched_shapes_raise():
+    model, feats, labels = toy_setup(channels=6)
+    narrow = toy_setup(channels=4)[0]
+    wide = toy_setup(classes=4)[0]
+    for other in (narrow, wide):
+        with pytest.raises(ValueError, match="differ in class or channel"):
+            train_heads([model, other], feats, labels,
+                        TrainConfig(max_epochs=2, early_stop_patience=1))
+    with pytest.raises(ValueError):
+        train_heads([], feats, labels,
+                    TrainConfig(max_epochs=2, early_stop_patience=1))
+
+
+MIXED = ("avg", "dbc", "base", "multiscale")
+
+
+def mixed_stack():
+    """Oracle heads of every kind, stacked over the same toy features."""
+    heads = [oracle_head(name) for name in MIXED]
+    _, feats, labels, idx = heads[0]
+    models = [model for model, _, _, _ in heads]
+    return models, feats, labels, idx, _HeadState(models, feats, labels)
+
+
+def test_stacked_step_gradient_matches_registry_chain_per_head():
+    models, feats, labels, idx, state = mixed_stack()
+    losses, hits = state.loss_grad(idx)
+    assert sorted(state.grads) == ["classifier_b", "classifier_w",
+                                   "mix_bias", "mix_weights"]
+    for i, model in enumerate(models):
+        want_loss, want = registry_gradients(model, feats, labels, idx)
+        assert losses[i] == pytest.approx(want_loss, rel=1e-12)
+        assert 0 <= hits[i] <= len(idx)
+        got = {key: state.grads[key][i] for key in ("classifier_w",
+                                                   "classifier_b")}
+        if model.mix is None:
+            assert not np.any(state.grads["mix_weights"][i])
+            assert not np.any(state.grads["mix_bias"][i])
+        else:
+            s = model.mix.scales
+            got["mix_weights"] = state.grads["mix_weights"][i, :, :s]
+            got["mix_bias"] = state.grads["mix_bias"][i]
+            assert not np.any(state.grads["mix_weights"][i, :, s:])
+        assert sorted(got) == sorted(want)
+        for key, grad in want.items():
+            assert np.abs(grad).max() > 0
+            np.testing.assert_allclose(got[key], grad, rtol=1e-10,
+                                       atol=1e-12 * np.abs(grad).max())
+
+
+def test_stacked_step_gradient_matches_central_differences_per_head():
+    models, feats, labels, idx, state = mixed_stack()
+    state.loss_grad(idx)
+    # the dbc head mixes three scales, so the two-scale mix has one pad slot
+    assert state.params["mix_weights"].shape[2] == 3
+    h = 1e-5
+    for key, param in state.params.items():
+        analytic = state.grads[key]
+        trainable = state.trainable.get(key, np.ones_like(param))
+        assert not np.any(analytic[trainable == 0])
+        for i in range(len(models)):
+            numeric = np.zeros_like(analytic[i])
+            for j in np.ndindex(param.shape[1:]):
+                if not trainable[i][j]:
+                    continue
+                old = param[i][j]
+                param[i][j] = old + h
+                up, _ = state.loss_acc(idx)
+                param[i][j] = old - h
+                down, _ = state.loss_acc(idx)
+                param[i][j] = old
+                numeric[j] = (up[i] - down[i]) / (2.0 * h)
+            scale = np.abs(analytic[i]).max()
+            np.testing.assert_allclose(numeric, analytic[i], rtol=1e-6,
+                                       atol=1e-6 * scale)
 
 
 # --------------------------------------------------------------- evaluation
