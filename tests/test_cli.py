@@ -259,3 +259,12 @@ def test_gradcheck_detects_sabotaged_backward(monkeypatch, capsys):
     monkeypatch.setitem(gradcheck.BACKWARD, "pool_avg", flipped)
     assert cli.main(["gradcheck", "--seeds", "2"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_fails_nan_gradients(monkeypatch, capsys):
+    monkeypatch.setitem(gradcheck.BACKWARD, "pool_avg",
+                        lambda upstream, x, spec: (np.full(x.shape, np.nan),))
+    assert cli.main(["gradcheck", "--seeds", "2"]) == 4
+    (row,) = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("pool_avg")]
+    assert row.split()[:3] == ["pool_avg", "FAIL", "inf"]

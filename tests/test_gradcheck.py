@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,24 @@ from lacuna.gradcheck import (
     run_gradient_suite,
     vjp_multiscale_lacunarity,
 )
-from lacuna.lacunarity import LacunarityConfig, multiscale_lacunarity
-from lacuna.tensor import GroupedMixWeights, PoolSpec, ShapeMismatchError
+from lacuna.lacunarity import (
+    LacunarityConfig,
+    base_lacunarity,
+    multiscale_lacunarity,
+    tanh_scale,
+)
+from lacuna.model import linear_classifier, softmax_cross_entropy
+from lacuna.tensor import (
+    GroupedMixWeights,
+    PoolSpec,
+    ShapeMismatchError,
+    elementwise_mul,
+    gap,
+    mix_scales,
+    pool_avg,
+    pool_max,
+    pool_sum,
+)
 
 from _reference import ref_out_size
 
@@ -177,3 +195,266 @@ def test_suite_covers_every_op_and_passes_quickly():
     assert {r.op_id for r in reports} == set(CHECKED_OPS)
     assert all(r.passed for r in reports)
     assert all(isinstance(r, GradCheckReport) for r in reports)
+
+
+def test_sabotaged_multiscale_backward_is_caught(monkeypatch):
+    # the composed operator's gradient is dispatched through the registry too
+    original = gradcheck.BACKWARD["multiscale_lacunarity"]
+
+    def flipped(upstream, *inputs):
+        return tuple(-g for g in original(upstream, *inputs))
+
+    monkeypatch.setitem(gradcheck.BACKWARD, "multiscale_lacunarity", flipped)
+    x = np.random.default_rng(3).uniform(-3.0, 3.0, size=(2, 2, 6, 6))
+    assert not finite_diff_check("multiscale_lacunarity", x, seed=3).passed
+
+
+def test_checked_ops_keep_their_order_and_each_has_a_backward():
+    assert CHECKED_OPS == (
+        "tanh_scale", "pool_sum", "pool_avg", "pool_max", "base_lacunarity",
+        "mix_scales", "elementwise_mul", "gap", "linear_classifier",
+        "softmax_cross_entropy", "multiscale_lacunarity",
+    )
+    assert CHECKED_OPS == tuple(gradcheck._OPS)
+    assert set(CHECKED_OPS) <= set(gradcheck.BACKWARD)
+
+
+def _nan_backward(monkeypatch):
+    monkeypatch.setitem(gradcheck.BACKWARD, "pool_avg",
+                        lambda upstream, x, spec: (np.full(x.shape, np.nan),))
+
+
+def _nan_forward(monkeypatch):
+    real = gradcheck.pool_avg
+    monkeypatch.setattr(gradcheck, "pool_avg",
+                        lambda x, spec: real(x, spec) * np.nan)
+
+
+@pytest.mark.parametrize("sabotage", [_nan_backward, _nan_forward])
+def test_non_finite_gradient_or_slope_fails_the_check(monkeypatch, sabotage):
+    sabotage(monkeypatch)
+    x = np.random.default_rng(6).standard_normal((1, 1, 4, 4))
+    rep = finite_diff_check("pool_avg", x, seed=6)
+    assert not rep.passed
+    assert rep.max_rel_error == math.inf and rep.probe_count > 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"probes": 0}, {"probes": -5}, {"tol": 0.0}, {"tol": -1e-4},
+    {"tol": math.inf}, {"tol": math.nan}, {"h": 0.0}, {"h": -1e-5},
+    {"h": math.inf}, {"h": math.nan},
+])
+def test_vacuous_rig_arguments_raise(kwargs):
+    # a sweep that checks nothing, or cannot fail, must not report a pass
+    x = np.random.default_rng(5).standard_normal((1, 1, 2, 2))
+    with pytest.raises(ValueError, match="probes|tol|h must"):
+        finite_diff_check("gap", x, **kwargs)
+    if "h" not in kwargs:
+        with pytest.raises(ValueError, match="probes|tol"):
+            run_gradient_suite(seeds=[0], **kwargs)
+
+
+def test_empty_seed_list_raises():
+    with pytest.raises(ValueError, match="seeds"):
+        run_gradient_suite(seeds=[])
+
+
+# -------------------------------------------- one-probe-at-a-time reference
+
+_WINDOWS = (PoolSpec.square(2, stride=1), PoolSpec.square(3, stride=2),
+            PoolSpec.square(3, stride=1, padding=1))
+_MULTISCALE_WINDOWS = (None, PoolSpec.square(2, stride=1),
+                       PoolSpec.square(3, stride=3))
+
+
+def _reference_harness(op_id, x, rng, **params):
+    """Probed arrays, forward and analytic gradient of one op, one branch each."""
+    n, c = x.shape[:2]
+    if op_id in ("tanh_scale", "gap"):
+        fwd = {"tanh_scale": tanh_scale, "gap": gap}[op_id]
+        return [x], lambda a: fwd(a[0]), lambda a, p: backward(op_id, (a[0],), p)
+    if op_id in ("pool_sum", "pool_avg", "pool_max"):
+        spec = params.get("spec") or PoolSpec.square(2, stride=1)
+        fwd = {"pool_sum": pool_sum, "pool_avg": pool_avg, "pool_max": pool_max}[op_id]
+        return ([x], lambda a: fwd(a[0], spec),
+                lambda a, p: backward(op_id, (a[0], spec), p))
+    if op_id == "base_lacunarity":
+        cfg = params.get("cfg") or LacunarityConfig(
+            method="base", window=PoolSpec.square(2, stride=1))
+        return ([x], lambda a: base_lacunarity(a[0], cfg),
+                lambda a, p: backward(op_id, (a[0], cfg), p))
+    if op_id == "mix_scales":
+        weights = rng.standard_normal((c // 2, 2))
+        bias = rng.standard_normal(c // 2)
+        return ([x, weights, bias],
+                lambda a: mix_scales(a[0], GroupedMixWeights(a[1], a[2])),
+                lambda a, p: backward(op_id, (a[0], GroupedMixWeights(a[1], a[2])), p))
+    if op_id == "elementwise_mul":
+        other = rng.standard_normal((n, c, 1, 1))
+        return ([x, other], lambda a: elementwise_mul(a[0], a[1]),
+                lambda a, p: backward(op_id, (a[0], a[1]), p))
+    flat = x.reshape(n, -1)
+    if op_id == "linear_classifier":
+        weights = rng.standard_normal((3, flat.shape[1])) / np.sqrt(flat.shape[1])
+        bias = rng.standard_normal(3)
+        return ([flat, weights, bias], lambda a: linear_classifier(*a),
+                lambda a, p: backward(op_id, tuple(a), p))
+    if op_id == "softmax_cross_entropy":
+        labels = rng.integers(0, flat.shape[1], size=n)
+        return ([flat], lambda a: np.asarray(softmax_cross_entropy(a[0], labels)),
+                lambda a, p: backward(op_id, (a[0], labels), p))
+    assert op_id == "multiscale_lacunarity"
+    cfg = params.get("cfg") or LacunarityConfig(method="multiscale", scales=2)
+    weights = rng.standard_normal((c, cfg.scales))
+    bias = rng.standard_normal(c)
+    return ([x, weights, bias],
+            lambda a: multiscale_lacunarity(a[0], cfg, GroupedMixWeights(a[1], a[2])),
+            lambda a, p: vjp_multiscale_lacunarity(
+                p, a[0], cfg, GroupedMixWeights(a[1], a[2])))
+
+
+def _reference_check(op_id, x, h=1e-5, tol=1e-4, seed=0, probes=100, **params):
+    """Probe one coordinate at a time in place, as the sweep is specified.
+
+    Returns the report and the (up, down) losses of every visited probe.
+    """
+    rng = np.random.default_rng(seed)
+    args, f, grad_fn = _reference_harness(op_id, np.asarray(x, float), rng, **params)
+    args = [np.array(a, dtype=np.float64) for a in args]
+    out = f(args)
+    proj = (rng.uniform(0.5, 1.5, size=out.shape)
+            * rng.choice([-1.0, 1.0], size=out.shape))
+
+    def loss():
+        return float(np.sum(proj * f(args)))
+
+    flat_grads = np.concatenate([np.asarray(g).ravel() for g in grad_fn(args, proj)])
+    bounds = np.cumsum([0] + [a.size for a in args])
+    total = int(bounds[-1])
+    want = min(probes, total)
+    base = loss()
+    order = rng.permutation(total)
+    max_rel = max_abs = 0.0
+    checked = resampled = pos = 0
+    visited = []
+    while checked < want and pos < total:
+        coord = order[pos]
+        pos += 1
+        i = int(np.searchsorted(bounds, coord, side="right") - 1)
+        target, off = args[i], coord - bounds[i]
+        old = target.flat[off]
+        target.flat[off] = old + h
+        up = loss()
+        target.flat[off] = old - h
+        down = loss()
+        target.flat[off] = old
+        visited.append((up, down))
+        numeric = (up - down) / (2.0 * h)
+        fwd = (up - base) / h
+        bwd = (base - down) / h
+        if (abs(fwd - bwd) > 1e-2 * max(1.0, abs(fwd), abs(bwd))
+                and resampled < 10 and pos < total):
+            resampled += 1
+            continue
+        analytic = flat_grads[coord]
+        abs_err = abs(analytic - numeric)
+        max_rel = max(max_rel, abs_err / max(abs(analytic), abs(numeric), 1e-12))
+        max_abs = max(max_abs, abs_err)
+        checked += 1
+    report = GradCheckReport(op_id, max_rel, max_abs, checked, tol,
+                             max_rel < tol, resampled)
+    return report, visited
+
+
+def _reference_suite(seeds, probes):
+    inputs = {
+        "tanh_scale": lambda rng: rng.uniform(-3.0, 3.0, size=(2, 2, 6, 6)),
+        "base_lacunarity": lambda rng: rng.uniform(-3.0, 3.0, size=(2, 2, 6, 6)),
+        "multiscale_lacunarity": lambda rng: rng.uniform(-3.0, 3.0, size=(2, 2, 6, 6)),
+        "mix_scales": lambda rng: rng.standard_normal((2, 4, 5, 5)),
+        "linear_classifier": lambda rng: rng.uniform(-2.0, 2.0, size=(4, 2, 3, 3)),
+        "softmax_cross_entropy": lambda rng: rng.uniform(-2.0, 2.0, size=(4, 3, 1, 1)),
+    }
+    results = []
+    for op_id in CHECKED_OPS:
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng((7919, seed))
+            x = inputs.get(op_id, lambda r: r.standard_normal((2, 2, 6, 6)) * 1.5)(rng)
+            params = {}
+            if op_id in ("pool_sum", "pool_avg", "pool_max"):
+                params["spec"] = _WINDOWS[i % 3]
+            elif op_id == "base_lacunarity":
+                params["cfg"] = LacunarityConfig(method="base", window=_WINDOWS[i % 3])
+            elif op_id == "multiscale_lacunarity":
+                params["cfg"] = LacunarityConfig(
+                    method="multiscale", scales=2, window=_MULTISCALE_WINDOWS[i % 3])
+            results.append(_reference_check(op_id, x, seed=seed, probes=probes,
+                                            **params))
+    return results
+
+
+@pytest.mark.parametrize("seeds, probes", [(range(20), 100), (range(3), 7)])
+def test_batched_sweep_equals_one_probe_at_a_time(monkeypatch, seeds, probes):
+    # every seed cycle covers all three windows and all three multiscale windows
+    captured = []
+    real = gradcheck._probe_losses
+
+    def spy(*args):
+        losses = real(*args)
+        captured.append(losses)
+        return losses
+
+    monkeypatch.setattr(gradcheck, "_probe_losses", spy)
+    reports = run_gradient_suite(seeds=seeds, probes=probes)
+    expected = _reference_suite(seeds, probes)
+    assert reports == [report for report, _ in expected]
+    for (ups, downs), (_, visited) in zip(captured, expected, strict=True):
+        up_ref, down_ref = np.array(visited).T
+        assert np.array_equal(ups[:len(visited)], up_ref)
+        assert np.array_equal(downs[:len(visited)], down_ref)
+
+
+def test_byte_budget_split_leaves_the_report_unchanged(monkeypatch):
+    x = np.random.default_rng(8).uniform(-3.0, 3.0, size=(2, 2, 6, 6))
+    whole = finite_diff_check("multiscale_lacunarity", x, seed=8)
+    batch_sizes = []
+    real = gradcheck.multiscale_lacunarity
+
+    def spy(x, cfg, mix):
+        batch_sizes.append(x.shape[0])
+        return real(x, cfg, mix)
+
+    monkeypatch.setattr(gradcheck, "multiscale_lacunarity", spy)
+    monkeypatch.setattr(gradcheck, "_PROBE_BATCH_BYTES", 6 * x.nbytes)
+    split = finite_diff_check("multiscale_lacunarity", x, seed=8)
+    assert split == whole == _reference_check("multiscale_lacunarity", x, seed=8)[0]
+    # three probes (six copies of the two samples) per stacked forward
+    assert max(batch_sizes) == 12
+    assert sum(size > 2 for size in batch_sizes) > 1
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 8, 8), (4, 8, 32, 32)])
+def test_no_stacked_forward_exceeds_the_byte_budget(monkeypatch, shape):
+    x = np.random.default_rng(9).standard_normal(shape)
+    input_bytes = []
+    real = gradcheck.pool_sum
+
+    def spy(x, spec):
+        input_bytes.append(x.nbytes)
+        return real(x, spec)
+
+    monkeypatch.setattr(gradcheck, "pool_sum", spy)
+    rep = finite_diff_check("pool_sum", x, seed=9, probes=20)
+    stacked = [b for b in input_bytes if b > x.nbytes]
+    assert all(b <= gradcheck._PROBE_BATCH_BYTES for b in stacked)
+    # a map whose two copies overrun the budget is probed one copy at a time
+    assert bool(stacked) == (2 * x.nbytes <= gradcheck._PROBE_BATCH_BYTES)
+    assert rep == _reference_check("pool_sum", x, seed=9, probes=20)[0]
+
+
+def test_kinked_sweep_spends_every_resample_like_the_reference():
+    # on a flat map every probe lands on a max-pool tie
+    x = np.ones((2, 1, 8, 8))
+    rep = finite_diff_check("pool_max", x, seed=11)
+    assert rep.resampled == 10
+    assert rep == _reference_check("pool_max", x, seed=11)[0]
