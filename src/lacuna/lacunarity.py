@@ -16,6 +16,7 @@ feature values of any magnitude land in (0, 255).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,14 +99,29 @@ def tanh_scale(x: np.ndarray) -> np.ndarray:
     return (np.tanh(x) + 1.0) * (255.0 / 2.0)
 
 
+# n * max|x| below this keeps every window sum of x^2, and the square of
+# every window sum of x, finite
+_SUM_LIMIT_EXP = 511
+_SUM_LIMIT = 2.0 ** _SUM_LIMIT_EXP
+
+
 def variance_ratio(x: np.ndarray, spec: PoolSpec, epsilon: float) -> np.ndarray:
     """Per-window variance-to-squared-mean ratio, clamped to be nonnegative.
 
     For a window of n cells this is n * sum(x^2) / (sum(x)^2 + epsilon) - 1,
     which equals the population variance over the squared mean up to the
     epsilon guard.  An all-zero window lands at -1 and is clamped to 0.
+
+    Inputs so large that n * max|x| reaches 2^511 would overflow the squared
+    sums; they are first scaled by an exact power of two (and epsilon by its
+    square, kept above zero) so the ratio comes out finite.
     """
     x = as_feature_map(x)
+    peak = float(np.abs(x).max())
+    if spec.area * peak >= _SUM_LIMIT:
+        shift = _SUM_LIMIT_EXP - math.frexp(peak)[1] - math.frexp(spec.area)[1]
+        x = np.ldexp(x, shift)
+        epsilon = max(math.ldexp(epsilon, 2 * shift), math.ulp(0.0))
     s1 = pool_sum(x, spec)
     s2 = pool_sum(x * x, spec)
     ratio = spec.area * s2 / (s1 * s1 + epsilon) - 1.0

@@ -16,6 +16,7 @@ little-endian float64 payload, labels in a one-integer-per-line sidecar).
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -44,7 +45,7 @@ BASELINE_POOLS = ("avg", "max", "l2")
 
 
 class FeatureFileError(ValueError):
-    """Malformed feature file: bad magic, dims, or truncated payload."""
+    """Malformed feature file: bad magic, dims, payload length or values."""
 
 
 # --------------------------------------------------------------- feature I/O
@@ -82,14 +83,18 @@ def read_feature_file(path: str) -> np.ndarray:
     if len(blob) < 20:
         raise FeatureFileError(f"{path}: truncated header")
     dims = struct.unpack("<4I", blob[4:20])
-    count = int(np.prod([int(d) for d in dims], dtype=np.int64))
+    if 0 in dims:
+        raise FeatureFileError(f"{path}: dims {dims} hold an empty axis")
+    count = math.prod(dims)  # Python ints: no wraparound on corrupt dims
     payload = blob[20:]
     if len(payload) != count * 8:
         raise FeatureFileError(
             f"{path}: payload holds {len(payload)} bytes, dims {dims} need {count * 8}"
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-    return as_feature_map(data, "features")
+    if not np.isfinite(data).all():
+        raise FeatureFileError(f"{path}: payload holds NaN or Inf")
+    return data
 
 
 def read_label_sidecar(path: str) -> np.ndarray:
@@ -98,6 +103,11 @@ def read_label_sidecar(path: str) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ backbone
+
+# input pixels per backbone block: 16 images of 56 px, whose first-layer
+# input and output (about 1.2 MB of float64) stay near L2-sized
+_BLOCK_PIXELS = 16 * 56 * 56
+
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
             padding: int) -> np.ndarray:
@@ -154,10 +164,22 @@ class FrozenBackbone:
         return self.weights[-1].shape[0]
 
     def features(self, images: np.ndarray) -> np.ndarray:
-        """Feature maps for a batch of single-channel images."""
+        """Feature maps for a batch of single-channel images.
+
+        The whole conv stack runs over blocks of images (about
+        `_BLOCK_PIXELS` input pixels each, at least one image) so one
+        block's layer temporaries stay cache-sized; the blocks are then
+        concatenated.  Each image's arithmetic is independent of the block
+        it lands in, so the result equals one full-batch pass bit for bit.
+        """
         x = as_feature_map(images, "images")
         if x.shape[1] != 1:
             raise ShapeMismatchError("backbone expects single-channel images")
+        step = max(1, _BLOCK_PIXELS // (x.shape[2] * x.shape[3]))
+        return np.concatenate([self._conv_stack(x[i:i + step])
+                               for i in range(0, len(x), step)])
+
+    def _conv_stack(self, x: np.ndarray) -> np.ndarray:
         x = x / 255.0
         for w, b in zip(self.weights, self.biases):
             x = np.maximum(_conv2d(x, w, b, stride=2, padding=1), 0.0)

@@ -59,12 +59,14 @@ def _parse(blob: bytes, path: str):
     magic = next_token()
     if magic not in (b"P2", b"P5"):
         raise MalformedHeaderError(f"{path}: magic {magic!r} is not P2/P5")
+    fields = [next_token() for _ in range(3)]
+    # ASCII digits only: int() would also take signs, underscores and spaces
+    if not all(tok.isdigit() for tok in fields):
+        raise MalformedHeaderError(f"{path}: non-numeric header field")
     try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as exc:
-        raise MalformedHeaderError(f"{path}: non-numeric header field") from exc
+        width, height, maxval = (int(tok) for tok in fields)
+    except ValueError as exc:  # more digits than int() converts
+        raise MalformedHeaderError(f"{path}: header field too long") from exc
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"{path}: bad dims {width}x{height}")
     if maxval < 1:
@@ -91,10 +93,13 @@ def read_pgm_raw(path: str) -> tuple[np.ndarray, int]:
         if len(fields) < count:
             raise TruncatedPayloadError(
                 f"{path}: need {count} pixel values, found {len(fields)}")
+        samples = fields[:count]
+        if not b"".join(samples).isdigit():  # each sample is ASCII digits
+            raise PgmError(f"{path}: non-numeric pixel value")
         try:
-            pixels = np.array([int(v) for v in fields[:count]], dtype=np.float64)
-        except ValueError as exc:
-            raise PgmError(f"{path}: non-numeric pixel value") from exc
+            pixels = np.array([int(v) for v in samples], dtype=np.float64)
+        except (ValueError, OverflowError) as exc:  # absurdly long digit runs
+            raise PgmError(f"{path}: pixel value out of range") from exc
     if pixels.max(initial=0.0) > maxval or pixels.min(initial=0.0) < 0:
         raise PgmError(f"{path}: pixel outside [0, {maxval}]")
     return pixels.reshape(1, 1, height, width), maxval

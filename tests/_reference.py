@@ -215,3 +215,87 @@ def ref_scatter_ratio(features, labels):
         between += len(grp) * float(((mu_c - mu) ** 2).sum())
         within += float(((grp - mu_c) ** 2).sum())
     return between, within
+
+
+# ------------------------------------------------------------ gap painters
+# One disk per call, in draw order: the loop form of the texture painters.
+
+def ref_paint_disk(mask, ci, cj, radius):
+    reach = int(math.ceil(radius))
+    i0, i1 = max(0, int(ci) - reach), min(mask.shape[0], int(ci) + reach + 1)
+    j0, j1 = max(0, int(cj) - reach), min(mask.shape[1], int(cj) + reach + 1)
+    if i0 >= i1 or j0 >= j1:
+        return
+    di = np.arange(i0, i1, dtype=np.float64)[:, None] - ci
+    dj = np.arange(j0, j1, dtype=np.float64)[None, :] - cj
+    mask[i0:i1, j0:j1] |= di * di + dj * dj <= radius * radius
+
+
+def ref_lattice_mask(size, frac, rng, period=8):
+    radius = period * math.sqrt(frac / math.pi)
+    mask = np.zeros((size, size), dtype=bool)
+    for ci in range(period // 2, size, period):
+        for cj in range(period // 2, size, period):
+            ref_paint_disk(mask, float(ci), float(cj), radius)
+    return mask
+
+
+def ref_jitter_mask(size, frac, rng, period=8):
+    mean_sq = frac * period * period / math.pi
+    r_small = math.sqrt(0.5 * mean_sq)
+    r_large = math.sqrt(1.5 * mean_sq)
+    slack = period / 2.0 - 1.0
+    mask = np.zeros((size, size), dtype=bool)
+    for bi in range(period // 2, size, period):
+        for bj in range(period // 2, size, period):
+            ci = bi + rng.uniform(-slack, slack)
+            cj = bj + rng.uniform(-slack, slack)
+            radius = r_small if rng.random() < 0.5 else r_large
+            ref_paint_disk(mask, ci, cj, radius)
+    return mask
+
+
+def ref_cluster_mask(size, frac, rng, centres=None):
+    """Loop cluster painter; appends each child's (ci, cj) to `centres`."""
+    target = frac * size * size
+    mask = np.zeros((size, size), dtype=bool)
+    radius_cap = size / 7.0
+    for _ in range(4 * size):
+        pi, pj = rng.uniform(0.0, size, size=2)
+        for _ in range(int(rng.poisson(4)) + 1):
+            ci = pi + rng.normal(0.0, size / 16.0)
+            cj = pj + rng.normal(0.0, size / 16.0)
+            radius = min(1.2 * (1.0 + rng.pareto(1.7)), radius_cap)
+            if centres is not None:
+                centres.append((ci, cj))
+            ref_paint_disk(mask, ci, cj, radius)
+        if mask.sum() >= target:
+            break
+    return mask
+
+
+# ----------------------------------------------------------------- backbone
+
+def ref_conv2d(x, w, b, stride, padding):
+    """Stride/pad convolution over the whole batch at once."""
+    n, c_in, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, c_out, out_h, out_w))
+    for ki in range(kh):
+        for kj in range(kw):
+            view = xp[:, :,
+                      ki:ki + (out_h - 1) * stride + 1:stride,
+                      kj:kj + (out_w - 1) * stride + 1:stride]
+            out += np.einsum("nihw,oi->nohw", view, w[:, :, ki, kj])
+    return out + b[None, :, None, None]
+
+
+def ref_backbone_features(weights, biases, images):
+    """Stride-2 conv + ReLU stack applied to the whole batch in one pass."""
+    x = np.asarray(images, dtype=np.float64) / 255.0
+    for w, b in zip(weights, biases):
+        x = np.maximum(ref_conv2d(x, w, b, stride=2, padding=1), 0.0)
+    return x

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from _fuzz import corrupt
+from _reference import ref_backbone_features
 
 from lacuna.lacunarity import DBC_DEFAULT_WINDOW, LacunarityConfig, base_lacunarity
 from lacuna.model import (
@@ -53,6 +57,49 @@ def test_feature_file_errors(tmp_path):
                            labels=np.zeros(3))
 
 
+def _lacf(dims, payload=b""):
+    return b"LACF" + struct.pack("<4I", *dims) + payload
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        # element counts that wrap to 0 mod 2^64 must not pass as empty
+        pytest.param(_lacf((65536,) * 4), id="dims-product-2^64"),
+        pytest.param(_lacf((4, 2**30, 2**30, 16)), id="dims-product-2^66"),
+        pytest.param(_lacf((0, 1, 2, 2)), id="zero-dim"),
+        pytest.param(_lacf((1, 1, 1, 2), struct.pack("<2d", 1.0, np.nan)),
+                     id="nan-payload"),
+        pytest.param(_lacf((1, 1, 1, 1), struct.pack("<d", -np.inf)),
+                     id="inf-payload"),
+    ],
+)
+def test_corrupt_feature_headers_raise_feature_file_error(tmp_path, blob):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob)
+    with pytest.raises(FeatureFileError):
+        read_feature_file(str(path))
+
+
+def test_fuzzed_feature_files_raise_only_feature_file_errors(tmp_path):
+    rng = np.random.default_rng(20240918)
+    feats = rng.standard_normal((2, 3, 2, 2))
+    path = tmp_path / "fuzz.bin"
+    write_feature_file(str(path), feats)
+    valid = path.read_bytes()
+    rejected = 0
+    for _ in range(2000):
+        path.write_bytes(corrupt(valid, rng))
+        try:
+            out = read_feature_file(str(path))
+        except FeatureFileError:
+            rejected += 1
+            continue
+        assert out.ndim == 4 and out.size >= 1
+        assert np.all(np.isfinite(out))
+    assert rejected > 1000  # the loop exercised the error paths
+
+
 # ----------------------------------------------------------------- backbone
 
 def test_backbone_shapes_and_determinism():
@@ -66,6 +113,25 @@ def test_backbone_shapes_and_determinism():
     assert bb.checksum() == again.checksum()
     assert np.array_equal(out, again.features(images))
     assert FrozenBackbone.make(seed=5, channels=12).checksum() != bb.checksum()
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 300])
+def test_backbone_blocks_match_unblocked_oracle(n):
+    rng = np.random.default_rng(n)
+    images = rng.uniform(0, 255, size=(n, 1, 56, 56))
+    for seed in (0, 7):
+        bb = FrozenBackbone.make(seed=seed, channels=16)
+        assert np.array_equal(
+            bb.features(images),
+            ref_backbone_features(bb.weights, bb.biases, images))
+
+
+def test_backbone_blocks_other_image_sizes_exactly():
+    # 40 px images make the block hold more images than at 56 px
+    images = np.random.default_rng(3).uniform(0, 255, size=(70, 1, 40, 40))
+    bb = FrozenBackbone.make(seed=2, channels=4)
+    assert np.array_equal(bb.features(images),
+                          ref_backbone_features(bb.weights, bb.biases, images))
 
 
 def test_backbone_weights_are_write_protected():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from _fuzz import corrupt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacuna import cli
 from lacuna.pgm import (
     MalformedHeaderError,
     PgmError,
@@ -85,6 +87,17 @@ def test_p2_and_p5_agree(tmp_path):
         (b"P5\n2 2\n255\n" + bytes(3), TruncatedPayloadError),
         (b"P2\n2 2\n255\n1 2 3", TruncatedPayloadError),
         (b"P5\n2 2\n10\n" + bytes([0, 5, 10, 11]), PgmError),
+        # header fields and P2 samples are ASCII decimal digits only
+        (b"P5\n1_0 1\n255\n" + bytes(10), MalformedHeaderError),
+        (b"P5\n+5 1\n255\n" + bytes(5), MalformedHeaderError),
+        (b"P5\n2 1\n2_55\n" + bytes(2), MalformedHeaderError),
+        (b"P5\n\xd9\xa3 1\n255\n" + bytes(3), MalformedHeaderError),
+        pytest.param(b"P5\n" + b"9" * 5000 + b" 1\n255\n",
+                     MalformedHeaderError, id="header-field-5000-digits"),
+        (b"P2\n2 1\n255\n+5 1", PgmError),
+        (b"P2\n2 1\n255\n1_0 1", PgmError),
+        pytest.param(b"P2\n2 1\n255\n1 " + b"9" * 400, PgmError,
+                     id="p2-sample-400-digits"),
     ],
 )
 def test_malformed_inputs(tmp_path, blob, err):
@@ -109,3 +122,30 @@ def test_write_read_write_idempotent(tmp_path_factory, h, w, seed):
     write_pgm(read_pgm(first), second)
     with open(first, "rb") as fa, open(second, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def test_fuzzed_files_raise_only_pgm_errors(tmp_path, capsys):
+    """Corrupt P2/P5 files either read cleanly or raise PgmError, and
+    lacmap exits 2 on each one the reader rejects."""
+    rng = np.random.default_rng(20240917)
+    pixels = rng.integers(0, 256, size=(3, 4))
+    seeds = [
+        b"P5\n4 3\n255\n" + pixels.astype(np.uint8).tobytes(),
+        b"P2\n# c\n4 3\n255\n" + " ".join(map(str, pixels.ravel())).encode(),
+    ]
+    path, out = tmp_path / "fuzz.pgm", str(tmp_path / "heat.pgm")
+    rejected = 0
+    for case in range(2000):
+        path.write_bytes(corrupt(seeds[case % 2], rng))
+        try:
+            arr, maxval = read_pgm_raw(str(path))
+        except PgmError:
+            rejected += 1
+            if case % 10 < 2:  # a fifth of the rejects also go through the CLI
+                assert cli.main(["lacmap", str(path), out]) == cli.EXIT_IO
+            continue
+        assert arr.ndim == 4 and arr.shape[:2] == (1, 1)
+        assert 1 <= maxval <= 255
+        assert np.all((arr >= 0) & (arr <= maxval))
+    capsys.readouterr()
+    assert rejected > 1000  # the loop exercised the error paths

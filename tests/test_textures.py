@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from _reference import (
+    ref_cluster_mask,
+    ref_jitter_mask,
+    ref_lattice_mask,
+    ref_paint_disk,
+)
 
 from lacuna import textures
 from lacuna.textures import (
@@ -106,3 +112,69 @@ def test_toy_dataset_varies_gap_fraction():
     assert per_class[0] < per_class[1] < per_class[2]
     with pytest.raises(ValueError):
         toy_dataset(classes=1)
+
+
+# ------------------------------------------------ painters vs loop oracles
+
+_REF_PAINTERS = {"lattice": ref_lattice_mask, "jitter": ref_jitter_mask,
+                 "cluster": ref_cluster_mask}
+
+
+@pytest.mark.parametrize("name", ARRANGEMENTS)
+@pytest.mark.parametrize("size", [56, 64, 128, 512])
+def test_bulk_painters_match_per_disk_reference(name, size):
+    seeds = range(2) if size == 512 else range(8)
+    fracs = sorted({*GRADE_GAP_FRACTION.values(), 0.05, 0.65})
+    for seed in seeds:
+        for frac in fracs:
+            mask = textures._PAINTERS[name](
+                size, frac, np.random.default_rng([seed, size]))
+            ref = _REF_PAINTERS[name](
+                size, frac, np.random.default_rng([seed, size]))
+            assert np.array_equal(mask, ref), (name, size, seed, frac)
+
+
+def test_cluster_painter_matches_reference_with_centres_off_grid():
+    centres = []
+    for seed in range(12):
+        ref = ref_cluster_mask(56, 0.24, np.random.default_rng([seed, 9]),
+                               centres)
+        mask = textures._cluster_mask(56, 0.24, np.random.default_rng([seed, 9]))
+        assert np.array_equal(mask, ref)
+    rows, cols = np.array(centres).T
+    assert (rows < 0).any() and (cols < 0).any()  # int() truncates up here
+    assert (rows >= 56).any() and (cols >= 56).any()
+
+
+def test_paint_disks_matches_per_disk_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        shape = tuple(rng.integers(5, 40, size=2))
+        count = int(rng.integers(1, 30))
+        ci = rng.uniform(-12.0, shape[0] + 12.0, size=count)
+        cj = rng.uniform(-12.0, shape[1] + 12.0, size=count)
+        radius = rng.uniform(0.2, 9.0, size=count)
+        radius[::3] = np.round(radius[::3])  # whole radii reach box edges
+        ci[::4] = np.round(ci[::4])          # so do whole-pixel centres
+        ref = np.zeros(shape, dtype=bool)
+        for a, b, r in zip(ci, cj, radius):
+            ref_paint_disk(ref, float(a), float(b), float(r))
+        mask = np.zeros(shape, dtype=bool)
+        textures._paint_disks(mask, ci, cj, radius)
+        assert np.array_equal(mask, ref)
+
+
+def test_paint_disks_tests_only_inside_each_box():
+    # row 4 lies one past the box of a centre just below row 1, yet its
+    # distance rounds to exactly the radius; the per-disk painter skips it.
+    # The second, wider disk stretches the shared offset grid past row 4.
+    ci = np.array([1.0 - 2.0 ** -53, 8.0])
+    cj = np.array([10.0, 2.0])
+    radius = np.array([3.0, 6.0])
+    ref = np.zeros((12, 20), dtype=bool)
+    for a, b, r in zip(ci, cj, radius):
+        ref_paint_disk(ref, float(a), float(b), float(r))
+    mask = np.zeros((12, 20), dtype=bool)
+    textures._paint_disks(mask, ci, cj, radius)
+    assert not ref[4, 10]
+    assert np.array_equal(mask, ref)
