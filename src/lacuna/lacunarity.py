@@ -122,10 +122,13 @@ def variance_ratio(x: np.ndarray, spec: PoolSpec, epsilon: float) -> np.ndarray:
         shift = _SUM_LIMIT_EXP - math.frexp(peak)[1] - math.frexp(spec.area)[1]
         x = np.ldexp(x, shift)
         epsilon = max(math.ldexp(epsilon, 2 * shift), math.ulp(0.0))
-    s1 = pool_sum(x, spec)
-    s2 = pool_sum(x * x, spec)
-    ratio = spec.area * s2 / (s1 * s1 + epsilon) - 1.0
-    return np.maximum(ratio, 0.0)
+    return _ratio_from_sums(spec.area, pool_sum(x, spec), pool_sum(x * x, spec),
+                            epsilon)
+
+
+def _ratio_from_sums(area, s1, s2, epsilon):
+    """n * s2 / (s1^2 + epsilon) - 1, clamped at 0, from window sums of x, x^2."""
+    return np.maximum(area * s2 / (s1 * s1 + epsilon) - 1.0, 0.0)
 
 
 def base_lacunarity(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:

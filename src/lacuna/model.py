@@ -98,8 +98,12 @@ def read_feature_file(path: str) -> np.ndarray:
 
 
 def read_label_sidecar(path: str) -> np.ndarray:
-    with open(path + ".labels") as fh:
-        return np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
+    with open(path + ".labels", "rb") as fh:
+        tokens = [line.strip() for line in fh if line.strip()]
+    # bytes.isdigit is ASCII-only; int() would also take "+2" or "1_0"
+    if not all(tok.isdigit() and len(tok) < 19 for tok in tokens):
+        raise FeatureFileError(f"{path}.labels: a label is not 1-18 ASCII digits")
+    return np.array([int(tok) for tok in tokens], dtype=np.int64)
 
 
 # ------------------------------------------------------------------ backbone

@@ -73,6 +73,9 @@ def _parse(blob: bytes, path: str):
         raise MalformedHeaderError(f"{path}: bad maxval {maxval}")
     if maxval > 255:
         raise UnsupportedMaxvalError(f"{path}: maxval {maxval} > 255")
+    if blob[pos:pos + 1] == b"#":  # as in libnetpbm, its newline ends maxval
+        newline = blob.find(b"\n", pos)
+        pos = len(blob) if newline < 0 else newline
     return magic, width, height, maxval, pos
 
 

@@ -15,9 +15,9 @@ the same order as painting one disk at a time would take them, so every
 mask is a fixed function of its seed.
 
 Grades ("low" < "medium" < "high") differ only in their gap *fraction*
-(23.04% / 24% / 24.96%, a +-4% area spread), which pins the global
-lacunarity of each grade into a registered band regardless of arrangement;
-``generate_texture`` verifies the band and retries with fresh draws.  The
+(23.04% / 24% / 24.96%, a +-4% area spread).  The gap count is exact, so
+it alone fixes the global lacunarity of every draw, whatever the arrangement:
+``generate_texture`` checks the band from the count, then draws once.  The
 heterogeneity dataset instead holds the gap count exactly equal across its
 classes so that only the spatial arrangement separates them.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lacunarity import LacunarityConfig, base_lacunarity
+from .lacunarity import LacunarityConfig, _ratio_from_sums, base_lacunarity
 
 GAP_VALUE = 32.0
 BACKGROUND_VALUE = 224.0
@@ -49,11 +49,10 @@ GRADE_BANDS = {
 }
 
 _LATTICE_PERIOD = 8
-_MAX_ATTEMPTS = 100
 
 
 class TextureGenerationError(RuntimeError):
-    """Raised when no draw lands inside the grade's lacunarity band."""
+    """Raised when a grade's textures at a size miss its lacunarity band."""
 
 
 @dataclass(frozen=True)
@@ -172,19 +171,18 @@ def _match_count(mask: np.ndarray, count: int, rng: np.random.Generator) -> np.n
     return flat.reshape(mask.shape)
 
 
-def _render(mask: np.ndarray) -> np.ndarray:
+def _draw(painter, size: int, frac: float, rng: np.random.Generator) -> np.ndarray:
+    """A `painter` mask with exactly round(frac * size^2) gaps, rendered."""
+    mask = _match_count(painter(size, frac, rng), round(frac * size * size), rng)
     return np.where(mask, GAP_VALUE, BACKGROUND_VALUE)
-
-
-def _grade_arrangement(grade: str) -> str:
-    return ARRANGEMENTS[GRADES.index(grade)]
 
 
 def generate_texture(grade: str, size: int = 56, seed: int = 0) -> TextureSample:
     """One texture of the requested grade, validated against its band.
 
-    Deterministic in (grade, size, seed).  Draws are retried (bounded) until
-    the measured global lacunarity falls inside the grade's registered band.
+    Deterministic in (grade, size, seed).  The band is checked before any
+    painting: the whole-image sums follow from the gap count, exactly, so
+    every draw has the same global lacunarity and the one draw is final.
     """
     if grade not in GRADES:
         raise ValueError(f"grade must be one of {GRADES}, got {grade!r}")
@@ -193,18 +191,20 @@ def generate_texture(grade: str, size: int = 56, seed: int = 0) -> TextureSample
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     frac = GRADE_GAP_FRACTION[grade]
-    count = round(frac * size * size)
+    n, count = size * size, round(frac * size * size)
+    # global_lacunarity's sums, exact in float64 for any arrangement
+    s1 = GAP_VALUE * count + BACKGROUND_VALUE * (n - count)
+    s2 = GAP_VALUE ** 2 * count + BACKGROUND_VALUE ** 2 * (n - count)
+    value = float(_ratio_from_sums(n, s1, s2, LacunarityConfig().epsilon))
     lo, hi = GRADE_BANDS[grade]
-    painter = _PAINTERS[_grade_arrangement(grade)]
+    if not lo <= value <= hi:
+        raise TextureGenerationError(
+            f"{grade} textures of size {size} have global lacunarity {value!r}, "
+            f"outside the band ({lo}, {hi})")
     label = GRADES.index(grade)
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt, label])
-        mask = _match_count(painter(size, frac, rng), count, rng)
-        image = _render(mask)
-        if lo <= global_lacunarity(image) <= hi:
-            return TextureSample(image=image, label=label, grade=grade, seed=seed)
-    raise TextureGenerationError(
-        f"no {grade} draw hit band ({lo}, {hi}) in {_MAX_ATTEMPTS} attempts")
+    image = _draw(_PAINTERS[ARRANGEMENTS[label]], size, frac,
+                  np.random.default_rng([seed, 0, label]))
+    return TextureSample(image=image, label=label, grade=grade, seed=seed)
 
 
 def heterogeneity_dataset(
@@ -218,17 +218,11 @@ def heterogeneity_dataset(
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    count = round(GRADE_GAP_FRACTION["medium"] * size * size)
-    images, labels = [], []
-    for k, name in enumerate(ARRANGEMENTS):
-        painter = _PAINTERS[name]
-        for i in range(n_per_class):
-            rng = np.random.default_rng([seed, k, i])
-            mask = _match_count(painter(size, GRADE_GAP_FRACTION["medium"], rng),
-                                count, rng)
-            images.append(_render(mask)[None])
-            labels.append(k)
-    return np.stack(images), np.array(labels, dtype=np.int64)
+    images = [_draw(_PAINTERS[name], size, GRADE_GAP_FRACTION["medium"],
+                    np.random.default_rng([seed, k, i]))[None]
+              for k, name in enumerate(ARRANGEMENTS) for i in range(n_per_class)]
+    labels = np.arange(len(ARRANGEMENTS), dtype=np.int64)
+    return np.stack(images), np.repeat(labels, n_per_class)
 
 
 def toy_dataset(
@@ -241,13 +235,8 @@ def toy_dataset(
     """
     if classes < 2:
         raise ValueError("classes must be >= 2")
-    images, labels = [], []
-    for k in range(classes):
-        frac = 0.05 + 0.60 * k / (classes - 1)
-        count = round(frac * size * size)
-        for i in range(n_per_class):
-            rng = np.random.default_rng([seed, k, i])
-            mask = _match_count(_jitter_mask(size, frac, rng), count, rng)
-            images.append(_render(mask)[None])
-            labels.append(k)
-    return np.stack(images), np.array(labels, dtype=np.int64)
+    images = [_draw(_jitter_mask, size, 0.05 + 0.60 * k / (classes - 1),
+                    np.random.default_rng([seed, k, i]))[None]
+              for k in range(classes) for i in range(n_per_class)]
+    labels = np.arange(classes, dtype=np.int64)
+    return np.stack(images), np.repeat(labels, n_per_class)

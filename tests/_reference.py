@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from lacuna import textures
+
 
 def ref_out_size(size, kernel, stride, dilation, padding):
     return (size + 2 * padding - dilation * (kernel - 1) - 1) // stride + 1
@@ -299,3 +301,31 @@ def ref_backbone_features(weights, biases, images):
     for w, b in zip(weights, biases):
         x = np.maximum(ref_conv2d(x, w, b, stride=2, padding=1), 0.0)
     return x
+
+
+# ------------------------------------------------------- texture generation
+
+def ref_generate_texture(grade, size, seed, max_attempts=100):
+    """The retry loop: redraw until the measured global lacunarity is in band.
+
+    Attempt a draws from default_rng([seed, a, label]) with the library's
+    painters and count matching (their own oracles are above), so this
+    pins only the band decision.  Returns the sample and the global
+    lacunarity it measured.
+    """
+    frac = textures.GRADE_GAP_FRACTION[grade]
+    count = round(frac * size * size)
+    lo, hi = textures.GRADE_BANDS[grade]
+    label = textures.GRADES.index(grade)
+    painter = textures._PAINTERS[textures.ARRANGEMENTS[label]]
+    for attempt in range(max_attempts):
+        rng = np.random.default_rng([seed, attempt, label])
+        mask = textures._match_count(painter(size, frac, rng), count, rng)
+        image = np.where(mask, textures.GAP_VALUE, textures.BACKGROUND_VALUE)
+        measured = textures.global_lacunarity(image)
+        if lo <= measured <= hi:
+            sample = textures.TextureSample(image=image, label=label,
+                                            grade=grade, seed=seed)
+            return sample, measured
+    raise textures.TextureGenerationError(
+        f"no {grade} draw hit band ({lo}, {hi}) in {max_attempts} attempts")

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lacuna import lacunarity
 from lacuna.lacunarity import (
     DbcStats,
     LacunarityConfig,
@@ -99,6 +102,63 @@ def test_variance_ratio_agrees_across_the_rescale_limit():
     above = variance_ratio(x * 2.0 ** 508, spec, 1e-6)
     assert np.array_equal(below, above)
     assert np.all(below > 0.0)
+
+
+def _binary_scaled_map(rng, shape, top):
+    """Signed values with exponents in [top - 30, top], some of them zero."""
+    x = np.ldexp(rng.uniform(0.5, 1.0, size=shape),
+                 rng.integers(top - 30, top + 1, size=shape))
+    x *= rng.choice([-1.0, 1.0], size=shape)
+    x[rng.random(shape) < 0.15] = 0.0
+    return x
+
+
+# Scaling x by 2^k and epsilon by 2^2k scales every sum in the ratio by
+# 2^2k (after the rescale for huge inputs, which is itself a power of two),
+# and power-of-two scaling commutes with rounding while all values stay
+# normal, so the ratio keeps its bits.  The exponents drawn here keep the
+# squares, cancelled sums and epsilon normal and finite on both sides.
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), top=st.integers(-350, 540),
+       data=st.data())
+def test_variance_ratio_is_exactly_invariant_to_binary_scaling(seed, top, data):
+    n, c, h, w = (data.draw(st.integers(1, hi)) for hi in (2, 2, 6, 6))
+    x = _binary_scaled_map(np.random.default_rng(seed), (n, c, h, w), top)
+    spec = PoolSpec(data.draw(st.integers(1, h)), data.draw(st.integers(1, w)),
+                    data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    k = data.draw(st.integers(-350 - top, 540 - top))
+    # epsilon near 2^(2 top + r): up to the squared sums where that fits
+    r = min(data.draw(st.integers(-120, 8)), 1020 - 2 * max(top, top + k))
+    eps = math.ldexp(data.draw(st.floats(1.0, 2.0, exclude_max=True)), 2 * top + r)
+    assert np.array_equal(
+        variance_ratio(np.ldexp(x, k), spec, math.ldexp(eps, 2 * k)),
+        variance_ratio(x, spec, eps))
+
+
+@pytest.mark.parametrize(
+    "top,k,rescaled",
+    [
+        (500, 6, (False, True)),
+        (506, -6, (True, False)),
+        (200, 306, (False, True)),
+        (506, 1, (True, True)),
+    ],
+)
+def test_binary_scaling_invariance_across_the_rescale_limit(top, k, rescaled):
+    # peak 0.9375 * 2^top over a 6x6 global window: n * max|x| reaches the
+    # 2^511 rescale limit from top = 506 on.  Epsilon is near the squared
+    # window sum, so it moves the ratio: a rescale that scaled epsilon by
+    # anything but the square of its factor would change the bits
+    x = np.abs(_binary_scaled_map(np.random.default_rng(top), (1, 3, 6, 6), top - 1))
+    x[0, :, 0, 0] = math.ldexp(0.9375, top)
+    spec = PoolSpec.global_window(6, 6)
+    eps = math.ldexp(1.0, 2 * top + 2)
+    assert tuple(spec.area * np.abs(m).max() >= lacunarity._SUM_LIMIT
+                 for m in (x, np.ldexp(x, k))) == rescaled
+    plain = variance_ratio(x, spec, eps)
+    assert np.all(plain > 0.0)
+    assert np.array_equal(
+        variance_ratio(np.ldexp(x, k), spec, math.ldexp(eps, 2 * k)), plain)
 
 
 def test_base_lacunarity_constant_map_is_zero():

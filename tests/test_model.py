@@ -81,14 +81,53 @@ def test_corrupt_feature_headers_raise_feature_file_error(tmp_path, blob):
         read_feature_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # ASCII digits only: int() would also take these
+        pytest.param(b"1_0\n", id="underscore"),
+        pytest.param(b"+2\n", id="plus-sign"),
+        pytest.param(b"-1\n", id="minus-sign"),
+        pytest.param(b"\xd9\xa3\n", id="arabic-indic-digit"),
+        pytest.param(b"1 2\n", id="inner-space"),
+        pytest.param(b"0\na\n", id="letter"),
+        pytest.param(b"\xff\n", id="non-utf8"),
+        pytest.param(b"9" * 19 + b"\n", id="past-int64"),
+    ],
+)
+def test_corrupt_label_sidecars_raise_feature_file_error(tmp_path, text):
+    path = tmp_path / "feats.bin"
+    (tmp_path / "feats.bin.labels").write_bytes(text)
+    with pytest.raises(FeatureFileError):
+        read_label_sidecar(str(path))
+
+
+def test_label_sidecar_skips_blank_lines_and_edge_whitespace(tmp_path):
+    (tmp_path / "feats.bin.labels").write_bytes(b"0\r\n\n 12 \n\t3\n")
+    assert read_label_sidecar(str(tmp_path / "feats.bin")).tolist() == [0, 12, 3]
+
+
 def test_fuzzed_feature_files_raise_only_feature_file_errors(tmp_path):
     rng = np.random.default_rng(20240918)
     feats = rng.standard_normal((2, 3, 2, 2))
     path = tmp_path / "fuzz.bin"
-    write_feature_file(str(path), feats)
+    write_feature_file(str(path), feats, labels=[0, 12])
     valid = path.read_bytes()
-    rejected = 0
+    sidecar = tmp_path / "fuzz.bin.labels"
+    valid_labels = sidecar.read_bytes()
+    # the sidecar draws from its own stream, so the LACF draws stay as they were
+    label_rng = np.random.default_rng(20240919)
+    rejected = rejected_labels = 0
     for _ in range(2000):
+        text = corrupt(valid_labels, label_rng)
+        sidecar.write_bytes(text)
+        try:
+            labels = read_label_sidecar(str(path))
+        except FeatureFileError:
+            rejected_labels += 1
+        else:
+            assert labels.dtype == np.int64
+            assert labels.tolist() == [int(tok) for tok in text.split()]
         path.write_bytes(corrupt(valid, rng))
         try:
             out = read_feature_file(str(path))
@@ -98,6 +137,7 @@ def test_fuzzed_feature_files_raise_only_feature_file_errors(tmp_path):
         assert out.ndim == 4 and out.size >= 1
         assert np.all(np.isfinite(out))
     assert rejected > 1000  # the loop exercised the error paths
+    assert rejected_labels > 500
 
 
 # ----------------------------------------------------------------- backbone

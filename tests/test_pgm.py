@@ -98,6 +98,11 @@ def test_p2_and_p5_agree(tmp_path):
         (b"P2\n2 1\n255\n1_0 1", PgmError),
         pytest.param(b"P2\n2 1\n255\n1 " + b"9" * 400, PgmError,
                      id="p2-sample-400-digits"),
+        # a comment right after maxval runs to its newline, raster included
+        pytest.param(b"P5\n2 2\n255#x" + bytes([10, 20, 30, 40]),
+                     TruncatedPayloadError, id="p5-comment-after-maxval-eats-raster"),
+        pytest.param(b"P2\n2 1\n255#x 1 2", TruncatedPayloadError,
+                     id="p2-comment-after-maxval-eats-raster"),
     ],
 )
 def test_malformed_inputs(tmp_path, blob, err):
@@ -105,6 +110,30 @@ def test_malformed_inputs(tmp_path, blob, err):
     path.write_bytes(blob)
     with pytest.raises(err):
         read_pgm(str(path))
+
+
+_PIXELS = [[10.0, 20.0], [35.0, 10.0]]
+
+
+@pytest.mark.parametrize(
+    "blob,expected",
+    [
+        # libnetpbm reads the comment's newline as the delimiter after maxval
+        pytest.param(b"P5\n2 2\n255#x\n" + bytes([10, 20, 35, 10]), _PIXELS,
+                     id="p5-comment-after-maxval"),
+        pytest.param(b"P5\n2 2\n255#\n" + bytes([10, 20, 35, 10]), _PIXELS,
+                     id="p5-empty-comment-after-maxval"),
+        pytest.param(b"P2\n2 2\n255#x\n10 20\n35 10\n", _PIXELS,
+                     id="p2-comment-after-maxval"),
+        # one whitespace ends maxval, so a "#" after it is raster: "#x\n\n"
+        pytest.param(b"P5\n2 2\n255 #x\n\n", [[35.0, 120.0], [10.0, 10.0]],
+                     id="p5-hash-after-delimiter-is-raster"),
+    ],
+)
+def test_comment_after_maxval_ends_the_header(tmp_path, blob, expected):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(blob)
+    assert read_pgm(str(path))[0, 0].tolist() == expected
 
 
 @settings(max_examples=30, deadline=None)

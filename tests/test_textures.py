@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from _reference import (
     ref_cluster_mask,
+    ref_generate_texture,
     ref_jitter_mask,
     ref_lattice_mask,
     ref_paint_disk,
 )
 
 from lacuna import textures
+from lacuna.lacunarity import LacunarityConfig, _ratio_from_sums
 from lacuna.textures import (
     ARRANGEMENTS,
     BACKGROUND_VALUE,
@@ -75,10 +77,54 @@ def test_bad_arguments_rejected():
         generate_texture("low", seed=-1)
 
 
+def _count_lacunarity(count, n):
+    """global_lacunarity of n pixels holding `count` gaps, from exact sums."""
+    s1 = GAP_VALUE * count + BACKGROUND_VALUE * (n - count)
+    s2 = GAP_VALUE ** 2 * count + BACKGROUND_VALUE ** 2 * (n - count)
+    return float(_ratio_from_sums(n, s1, s2, LacunarityConfig().epsilon))
+
+
 def test_impossible_band_raises_generation_error(monkeypatch):
+    # the band is decided from the gap count: no painter may run
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("painted although the band cannot be met")
+
     monkeypatch.setitem(textures.GRADE_BANDS, "low", (0.9, 1.0))
-    with pytest.raises(TextureGenerationError):
+    for name in ARRANGEMENTS:
+        monkeypatch.setitem(textures._PAINTERS, name, spy)
+    monkeypatch.setattr(textures, "_match_count", spy)
+    value = repr(_count_lacunarity(round(GRADE_GAP_FRACTION["low"] * 32 * 32), 32 * 32))
+    with pytest.raises(TextureGenerationError, match=r"\(0\.9, 1\.0\)") as err:
         generate_texture("low", size=32, seed=0)
+    assert value in str(err.value)
+    assert calls == []
+
+
+@pytest.mark.parametrize("grade", GRADES)
+def test_one_draw_matches_the_retry_loop_reference(grade):
+    cases = [(size, seed) for size in (16, 40, 56, 64, 128) for seed in range(8)]
+    for size, seed in cases + [(512, 3)]:
+        ref, measured = ref_generate_texture(grade, size, seed)
+        got = generate_texture(grade, size=size, seed=seed)
+        assert np.array_equal(got.image, ref.image), (size, seed)
+        assert (got.label, got.grade, got.seed) == (ref.label, ref.grade, ref.seed)
+        # the count sums give the measured value to the last bit
+        assert _count_lacunarity(gap_count(got.image), size * size) == measured
+
+
+def test_every_size_lies_in_its_grade_band(monkeypatch):
+    # arithmetic only: the painting is stubbed out, the band check is not
+    monkeypatch.setattr(textures, "_draw", lambda *args: None)
+    for grade in GRADES:
+        lo, hi = GRADE_BANDS[grade]
+        frac = GRADE_GAP_FRACTION[grade]
+        for size in range(16, 4097):
+            value = _count_lacunarity(round(frac * size * size), size * size)
+            assert lo <= value <= hi, (grade, size, value)
+            assert generate_texture(grade, size=size).image is None
 
 
 def test_global_lacunarity_is_arrangement_free():
