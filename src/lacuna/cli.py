@@ -120,7 +120,7 @@ def _cmd_lacmap(args) -> int:
             given = {} if args.scales is None else {"scales": args.scales}
             cfg = LacunarityConfig(method="multiscale", window=window,
                                    epsilon=args.epsilon, **given)
-            mix = GroupedMixWeights.uniform(1, cfg.scales)
+            mix = GroupedMixWeights.uniform(1, cfg.scale_count)
             heat = multiscale_lacunarity(x, cfg, mix)
         else:
             given = ({} if args.dilations is None

@@ -4,9 +4,10 @@ An experiment compares pooling methods on a synthetic texture dataset.  Per
 seed it generates the dataset and runs the frozen backbone over it once; the
 feature tensor is then shared by every method, so the comparison is paired.
 Per seed it builds one fusion head per method over those features, trains
-them in lockstep (`train_heads`), and scores each head's test rows once:
-the same fused features give its test accuracy and a class-separability
-(FDR) report.  Results serialize to a fixed-format text file: rerunning the
+them in lockstep (`train_heads`), and scores each head's test rows once
+through the head function training used (`FusionModel.head`): its logits
+give the test accuracy and its fused features a class-separability (FDR)
+report.  Results serialize to a fixed-format text file: rerunning the
 same config writes byte-identical bytes.
 
 Configs are INI files (configparser) with an [experiment] section and an
@@ -25,7 +26,7 @@ import numpy as np
 
 from .lacunarity import LacunarityConfig
 from .metrics import fisher_discriminant_ratio, summarize_log_fdr
-from .model import FrozenBackbone, FusionModel, linear_classifier
+from .model import FrozenBackbone, FusionModel
 from .textures import heterogeneity_dataset, toy_dataset
 from .train import EvalReport, TrainConfig, confusion_report, train_heads
 
@@ -183,11 +184,10 @@ def _features(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]
 def _score(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
            test_idx: np.ndarray) -> tuple[EvalReport, float]:
     """Test scores and log-FDR from one pass of the head over the test rows."""
-    fused = model.fused(feats[test_idx])
-    preds = np.argmax(linear_classifier(fused, model.classifier_w,
-                                        model.classifier_b), axis=1)
+    logits, fused = model.head(feats[test_idx])
     true = labels[test_idx]
-    return (confusion_report(true, preds, model.classifier_b.size),
+    return (confusion_report(true, np.argmax(logits, axis=1),
+                             model.classifier_b.size),
             fisher_discriminant_ratio(fused, true).log_fdr)
 
 

@@ -334,15 +334,6 @@ BACKWARD = {
 }
 
 
-# --------------------------------------------------------------- param count
-
-def param_count(channels: int, scales: int) -> int:
-    """Learnable size of the per-channel scale mix: C*S weights + C biases."""
-    if channels < 1 or scales < 1:
-        raise ValueError("channels and scales must be >= 1")
-    return channels * scales + channels
-
-
 # ----------------------------------------------------------- finite-diff rig
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .tensor import (
     PoolSpec,
     as_feature_map,
     mix_scales,
-    pool_avg,
     pool_max,
     pool_min,
     pool_sum,
@@ -83,6 +82,12 @@ class LacunarityConfig:
                 raise ValueError("the dbc method requires normalize_input=True")
         if self.scales < 1:
             raise ValueError("scales must be >= 1")
+
+    @property
+    def scale_count(self) -> int:
+        """Scale planes per channel: pyramid levels, dilations, or 1 for base."""
+        return {"base": 1, "dbc": len(self.dilation_set),
+                "multiscale": self.scales}[self.method]
 
     def resolve_window(self, x: np.ndarray) -> PoolSpec:
         """The configured window, else the method's default for map `x`."""
@@ -170,7 +175,8 @@ def dbc_column_heights(x: np.ndarray, r: int, window: PoolSpec,
     max/min and never touch the statistics); this keeps the per-dilation
     lacunarity planes stackable.  Kernel dims must be odd for that padding
     to be symmetric.  The masses and occupancies then come from unpadded
-    sum/avg pooling of the heights with the same kernel and stride.
+    sum pooling of the heights with the same kernel and stride, the
+    occupancies being the masses over the kernel area.
     """
     if r < 1:
         raise ValueError("dilation factor r must be >= 1")
@@ -191,8 +197,7 @@ def dbc_column_heights(x: np.ndarray, r: int, window: PoolSpec,
     glide_spec = PoolSpec(window.kernel_h, window.kernel_w,
                           window.stride_h, window.stride_w)
     mass = pool_sum(heights, glide_spec)
-    occupancy = pool_avg(heights, glide_spec)
-    return DbcStats(heights=heights, mass=mass, occupancy=occupancy)
+    return DbcStats(heights=heights, mass=mass, occupancy=mass / glide_spec.area)
 
 
 def dbc_plane(stats: DbcStats, epsilon: float) -> np.ndarray:
@@ -229,7 +234,7 @@ def dbc_lacunarity(x: np.ndarray, cfg: LacunarityConfig,
     """
     planes = dbc_scale_planes(x, cfg)
     if mix is None:
-        mix = GroupedMixWeights.uniform(x.shape[1], len(cfg.dilation_set))
+        mix = GroupedMixWeights.uniform(x.shape[1], cfg.scale_count)
     return mix_scales(planes, mix)
 
 
@@ -299,9 +304,9 @@ def multiscale_lacunarity(x: np.ndarray, cfg: LacunarityConfig,
                           mix: GroupedMixWeights) -> np.ndarray:
     """Multi-scale lacunarity: pyramid, per-level gliding box, upsample, mix."""
     planes = multiscale_scale_planes(x, cfg)
-    if mix.channels != x.shape[1] or mix.scales != cfg.scales:
+    if mix.channels != x.shape[1] or mix.scales != cfg.scale_count:
         raise ValueError(
             f"mix weights sized ({mix.channels}, {mix.scales}) do not match "
-            f"C={x.shape[1]}, S={cfg.scales}"
+            f"C={x.shape[1]}, S={cfg.scale_count}"
         )
     return mix_scales(planes, mix)

@@ -2,11 +2,12 @@
 
 A frozen backbone (a small fixed-seed stride-2 convolution stack) turns
 images into feature maps once.  Everything after that takes the feature
-tensor: the fusion head reduces it through a configurable pooling branch
-(one of the lacunarity operators or a plain avg/max/l2 baseline) and a
-global-average-pool branch, multiplies the two per channel and feeds the
-product to a linear classifier.  Only the scale-mixing weights (when the
-pooling branch has any) and the classifier are ever trained.
+tensor.  The fusion head reduces it once, to the spatial means of its
+pooling branch's S scale planes (a lacunarity operator; S = 1 for base and
+the avg/max/l2 baselines) and of the features themselves (GAP).  One head
+function, which training runs over a stack of heads, then mixes the scales,
+multiplies the two branches per channel and applies a linear classifier.
+Only the scale mix (when the branch has one) and the classifier train.
 
 Features computed elsewhere enter the same way, as a plain tensor read from
 a flat binary feature file ("LACF" magic, little-endian uint32 dims,
@@ -32,10 +33,8 @@ from .tensor import (
     GroupedMixWeights,
     ShapeMismatchError,
     as_feature_map,
-    elementwise_mul,
     gap,
     global_spec,
-    mix_scales,
     pool_avg,
     pool_l2,
     pool_max,
@@ -58,19 +57,26 @@ def write_feature_file(path: str, features: np.ndarray,
     """Write features as magic + <4 uint32 dims> + row-major <float64 payload.
 
     When `labels` is given, a sidecar text file at `path + ".labels"` gets
-    one integer per line, aligned with the leading feature axis.
+    one integer per line, aligned with the leading feature axis.  Labels
+    must be integers in [0, 10^18), the range `read_label_sidecar` reads
+    back; they are checked before either file is opened.
     """
     features = as_feature_map(features, "features")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<4I", *features.shape))
-        fh.write(np.ascontiguousarray(features, dtype="<f8").tobytes())
     if labels is not None:
         labels = np.asarray(labels)
         if labels.shape != (features.shape[0],):
             raise ShapeMismatchError(
                 f"labels shape {labels.shape} does not match N={features.shape[0]}"
             )
+        labels = labels.tolist()  # exact Python numbers, whatever the dtype
+        if not all(isinstance(v, (int, float)) and 0 <= v < 10**18
+                   and v == int(v) for v in labels):
+            raise ValueError("labels must be integers in [0, 10^18)")
+    with open(path, "wb") as fh:
+        fh.write(FEATURE_MAGIC)
+        fh.write(struct.pack("<4I", *features.shape))
+        fh.write(np.ascontiguousarray(features, dtype="<f8").tobytes())
+    if labels is not None:
         with open(path + ".labels", "w") as fh:
             fh.writelines(f"{int(v)}\n" for v in labels)
 
@@ -229,13 +235,41 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
         )
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("labels out of range for the logit width")
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(len(labels)), labels]
-    return float(np.mean(log_norm - picked))
+    return float(_cross_entropy(logits[None], labels)[0][0])
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head mean softmax cross-entropy and the softmax it came from.
+
+    `logits` is (M, B, K) for M heads scoring the same B labelled rows.
+    """
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    nll = np.log(total[..., 0]) - z[:, np.arange(len(labels)), labels]
+    # the arithmetic of np.mean, without its per-call overhead
+    return nll.sum(axis=-1) / len(labels), e / total
 
 
 # -------------------------------------------------------------- fusion model
+
+def _head(pooled, gapped, classifier_w, classifier_b, *mix):
+    """(M, N, K) logits and (M, N, C) classifier input of M stacked heads.
+
+    `pooled` is (M, N, C, S) and `gapped` the (N, C) GAP vectors.  `mix` is
+    the (M, C, S) weights and (M, C) bias; with none, slot 0 is the branch.
+    """
+    if mix:
+        weights, bias = mix
+        lac = np.einsum("mncs,mcs->mnc", pooled, weights) + bias[:, None]
+    else:
+        lac = pooled[..., 0]
+    fused = lac * gapped
+    logits = (np.matmul(fused, classifier_w.transpose(0, 2, 1))
+              + classifier_b[:, None])
+    return logits, fused
+
 
 @dataclass
 class FusionModel:
@@ -259,18 +293,14 @@ class FusionModel:
             )
         self.classifier_w = np.array(self.classifier_w, dtype=np.float64)
         self.classifier_b = np.array(self.classifier_b, dtype=np.float64)
-        if self.mix is not None and self.mix.scales != self._scale_count():
+        if self.classifier_b.shape != self.classifier_w.shape[:1]:
+            raise ShapeMismatchError(f"classifier bias {self.classifier_b.shape} "
+                                     f"for weights {self.classifier_w.shape}")
+        scales = 1 if isinstance(self.pooling, str) else self.pooling.scale_count
+        if self.mix is not None and self.mix.scales != scales:
             raise ShapeMismatchError(
-                f"mix carries {self.mix.scales} scale slots, branch makes "
-                f"{self._scale_count()}"
+                f"mix carries {self.mix.scales} scale slots, branch makes {scales}"
             )
-
-    def _scale_count(self) -> int:
-        if isinstance(self.pooling, str) or self.pooling.method == "base":
-            return 1
-        if self.pooling.method == "multiscale":
-            return self.pooling.scales
-        return len(self.pooling.dilation_set)
 
     @classmethod
     def build(cls, channels: int, pooling: LacunarityConfig | str,
@@ -282,51 +312,47 @@ class FusionModel:
         w = rng.uniform(-1.0, 1.0, size=(num_classes, channels)) / np.sqrt(channels)
         b = np.zeros(num_classes)
         mix = None
-        if not isinstance(pooling, str) and pooling.method in ("multiscale", "dbc"):
-            scales = (pooling.scales if pooling.method == "multiscale"
-                      else len(pooling.dilation_set))
-            mix = GroupedMixWeights.uniform(channels, scales)
+        if not isinstance(pooling, str) and pooling.method != "base":
+            mix = GroupedMixWeights.uniform(channels, pooling.scale_count)
         return cls(pooling=pooling, classifier_w=w, classifier_b=b, mix=mix)
 
     def trainable_param_count(self) -> int:
-        count = self.classifier_w.size + self.classifier_b.size
-        if self.mix is not None:
-            count += self.mix.param_count()
-        return count
+        mix = 0 if self.mix is None else self.mix.param_count()
+        return self.classifier_w.size + self.classifier_b.size + mix
 
-    # --- branch forwards -------------------------------------------------
+    # --- forwards --------------------------------------------------------
 
-    def scale_planes(self, feats: np.ndarray) -> np.ndarray | None:
-        """Mix-independent stacked planes, or None when no mixing happens."""
-        if isinstance(self.pooling, str) or self.pooling.method == "base":
-            return None
+    def scale_planes(self, feats: np.ndarray) -> np.ndarray:
+        """Mix-independent (N, C*S, H', W') branch planes; S = 1 unless it mixes."""
+        if isinstance(self.pooling, str):
+            op = {"avg": pool_avg, "max": pool_max, "l2": pool_l2}[self.pooling]
+            return op(feats, global_spec(feats))
+        if self.pooling.method == "base":
+            return base_lacunarity(feats, self.pooling)
         if self.pooling.method == "multiscale":
             return multiscale_scale_planes(feats, self.pooling)
         return dbc_scale_planes(feats, self.pooling)
 
-    def pooling_branch(self, feats: np.ndarray) -> np.ndarray:
-        """Reduce features to (N, C, 1, 1) through the configured branch."""
-        planes = self.scale_planes(feats)
-        if planes is None:
-            if isinstance(self.pooling, str):
-                op = {"avg": pool_avg, "max": pool_max, "l2": pool_l2}[self.pooling]
-                return op(feats, global_spec(feats))
-            out = base_lacunarity(feats, self.pooling)
-        else:
-            out = mix_scales(planes, self.mix)
-        if out.shape[2:] != (1, 1):
-            out = gap(out)  # local windows collapse to one value per channel
-        return out
+    def pooled(self, feats: np.ndarray) -> np.ndarray:
+        """(N, C, S) scale planes averaged over space: the head's input."""
+        return gap(self.scale_planes(feats)).reshape(*feats.shape[:2], -1)
+
+    def head(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, K) logits and their (N, C) classifier input, from one pass."""
+        feats = as_feature_map(feats, "features")
+        mix = () if self.mix is None else (self.mix.weights[None], self.mix.bias[None])
+        logits, fused = _head(self.pooled(feats)[None], gap(feats)[:, :, 0, 0],
+                              self.classifier_w[None], self.classifier_b[None],
+                              *mix)
+        return logits[0], fused[0]
 
     def fused(self, feats: np.ndarray) -> np.ndarray:
         """(N, C) product of the pooling and GAP branches: the classifier input."""
-        feats = as_feature_map(feats, "features")
-        return elementwise_mul(self.pooling_branch(feats), gap(feats))[:, :, 0, 0]
+        return self.head(feats)[1]
 
     def forward(self, feats: np.ndarray) -> np.ndarray:
         """Class logits for a feature batch."""
-        return linear_classifier(self.fused(feats), self.classifier_w,
-                                 self.classifier_b)
+        return self.head(feats)[0]
 
     def predict(self, feats: np.ndarray) -> np.ndarray:
         return np.argmax(self.forward(feats), axis=1)

@@ -213,8 +213,8 @@ class GroupedMixWeights:
     def __post_init__(self):
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         self.bias = np.ascontiguousarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ShapeMismatchError("weights must have shape (C, S)")
+        if self.weights.ndim != 2 or 0 in self.weights.shape:
+            raise ShapeMismatchError("weights must have shape (C, S), C, S >= 1")
         if self.bias.shape != (self.weights.shape[0],):
             raise ShapeMismatchError("bias must have shape (C,)")
 

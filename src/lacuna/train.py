@@ -2,14 +2,15 @@
 
 `train` and `evaluate` take the frozen backbone's feature tensor (or features
 read from a file), never images.  Training validates the features and
-reduces them once, to the (N, C) GAP branch plus either the (N, C) frozen
-pooling branch or the (N, C, S) spatially averaged scale planes.  A step then
-runs on those per-sample vectors: the mix, the fusion product, the
-classifier, one softmax shared by loss and gradient, and hand-written
-gradients, with no 4-D tensor ops; adaptive moment estimation then updates
-the trainable arrays.  Batches follow a seeded permutation, and early
-stopping watches validation loss with the best-validation weights restored
-at the end and written into the model's own arrays.
+reduces them once, to the (N, C) GAP branch plus each head's (N, C, S)
+`FusionModel.pooled` vectors.  A step then runs on those per-sample vectors:
+the model's head function (mix, fusion product and classifier, the one
+`FusionModel.forward` and so `evaluate` use), one softmax shared by loss and
+gradient, and hand-written gradients, with no 4-D tensor ops; adaptive
+moment estimation then updates the trainable arrays.  Batches follow a
+seeded permutation, and early stopping watches validation loss with the
+best-validation weights restored at the end and written into the model's
+own arrays.
 
 Heads that share features, labels and seed also share the split and the
 batch order, so `train_heads` trains them in lockstep on one stacked state
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FusionModel
+from .model import FusionModel, _cross_entropy, _head
 from .tensor import as_feature_map, gap
 
 
@@ -155,20 +156,6 @@ class EvalReport:
     confusion: np.ndarray  # rows: true class, columns: predicted
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head mean softmax cross-entropy and the softmax it came from.
-
-    `logits` is (M, B, K) for M heads scoring the same B labelled rows.
-    """
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
-    nll = np.log(total[..., 0]) - z[:, np.arange(len(labels)), labels]
-    # the arithmetic of np.mean, without its per-call overhead
-    return nll.sum(axis=-1) / len(labels), e / total
-
-
 def _checked_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Labels as int64, raising unless each one names one of the classes."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -182,11 +169,10 @@ class _HeadState:
 
     Features are validated and pooled once: `gapped` is the (N, C) GAP
     branch every head shares, and `pooled` is (M, N, C, S_max), each head's
-    (N, C, S) scale planes averaged over space or, for a head that does not
-    mix scales, its frozen (N, C) pooling branch in scale slot 0.  GAP
-    commutes with the mix (a per-channel linear map over scales whose bias
-    is constant over space), so averaging before mixing changes the values
-    only by rounding.
+    `FusionModel.pooled` vectors (S = 1 for a head that does not mix
+    scales).  Logits come from the model module's head function, the one
+    `FusionModel.forward` calls, so a trained head scores its rows with the
+    same bits it was trained on.
 
     `params` holds the stacked trainable arrays, each with a leading head
     axis; `grads` holds one same-shaped array each.  When any head mixes,
@@ -213,22 +199,19 @@ class _HeadState:
         self.labels = _checked_labels(labels, shape[0])
         self.onehot = np.eye(shape[0])[self.labels]
         self.gapped = gap(feats)[:, :, 0, 0]
+        pooled = [model.pooled(feats) for model in models]
         m, (n, c) = len(models), self.gapped.shape
-        s_max = max(1 if model.mix is None else model.mix.scales
-                    for model in models)
+        s_max = max(p.shape[2] for p in pooled)
         self.pooled = np.zeros((m, n, c, s_max))
         weights, bias = np.zeros((m, c, s_max)), np.zeros((m, c))
         self.trainable = {"mix_bias": np.zeros_like(bias),
                           "mix_weights": np.zeros_like(weights)}
         for i, model in enumerate(models):
-            planes = model.scale_planes(feats)
-            if planes is None:
-                branch = model.pooling_branch(feats)
-                self.pooled[i, :, :, 0] = branch[:, :, 0, 0]
+            s = pooled[i].shape[2]
+            self.pooled[i, :, :, :s] = pooled[i]
+            if model.mix is None:
                 weights[i, :, 0] = 1.0
                 continue
-            s = model.mix.scales
-            self.pooled[i, :, :, :s] = gap(planes).reshape(n, c, s)
             weights[i, :, :s] = model.mix.weights
             bias[i] = model.mix.bias
             self.trainable["mix_weights"][i, :, :s] = 1.0
@@ -257,14 +240,9 @@ class _HeadState:
         p = self.params
         gapped = self.gapped[idx]
         pooled = self.pooled.take(idx, axis=1)
-        if self.mixing:
-            lac = (np.einsum("mncs,mcs->mnc", pooled, p["mix_weights"])
-                   + p["mix_bias"][:, None])
-        else:
-            lac = pooled[..., 0]
-        fused = lac * gapped
-        logits = (np.matmul(fused, p["classifier_w"].transpose(0, 2, 1))
-                  + p["classifier_b"][:, None])
+        mix = (p["mix_weights"], p["mix_bias"]) if self.mixing else ()
+        logits, fused = _head(pooled, gapped, p["classifier_w"],
+                              p["classifier_b"], *mix)
         return logits, fused, gapped, pooled
 
     def loss_grad(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,6 @@ def report(name: str) -> None:
 def test_mixing_layer_param_counts_are_exact():
     for channels, scales, expected in ((512, 2, 1536), (768, 2, 2304),
                                        (2208, 2, 6624)):
-        assert gradcheck.param_count(channels, scales) == expected
         mix = GroupedMixWeights.uniform(channels, scales)
         assert mix.param_count() == expected
         assert mix.weights.size + mix.bias.size == expected

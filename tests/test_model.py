@@ -107,6 +107,36 @@ def test_label_sidecar_skips_blank_lines_and_edge_whitespace(tmp_path):
     assert read_label_sidecar(str(tmp_path / "feats.bin")).tolist() == [0, 12, 3]
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        pytest.param([1.7, -1], id="fractional-and-negative"),
+        pytest.param([10**18], id="past-reader-range"),
+        pytest.param(np.array([10**18]), id="past-reader-range-int64"),
+        pytest.param([-1, 0], id="negative"),
+        pytest.param([float("nan")], id="nan"),
+        pytest.param([float("inf")], id="inf"),
+        pytest.param(["1"], id="text"),
+    ],
+)
+def test_write_rejects_labels_the_reader_refuses(tmp_path, labels):
+    path = tmp_path / "feats.bin"
+    feats = np.zeros((len(labels), 1, 2, 2))
+    with pytest.raises(ValueError, match="labels must be integers"):
+        write_feature_file(str(path), feats, labels)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ShapeMismatchError):
+        write_feature_file(str(path), feats, np.zeros((len(labels), 1)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_written_labels_round_trip(tmp_path):
+    path = str(tmp_path / "feats.bin")
+    for labels in ([0, 7, 10**18 - 1], np.array([3, 0, 1]), [2.0, 0.0, 5.0]):
+        write_feature_file(path, np.zeros((3, 1, 1, 1)), labels)
+        assert read_label_sidecar(path).tolist() == [int(v) for v in labels]
+
+
 def test_fuzzed_feature_files_raise_only_feature_file_errors(tmp_path):
     rng = np.random.default_rng(20240918)
     feats = rng.standard_normal((2, 3, 2, 2))
@@ -286,8 +316,9 @@ def test_dbc_branch_defaults_to_local_window_and_gap():
     planes = model.scale_planes(feats)
     # heights stay 7x7 (identity padding); the 3x3 glide then gives 5x5
     assert planes.shape == (4, 6, 5, 5)
-    pooled = model.pooling_branch(feats)
-    assert pooled.shape == (4, 3, 1, 1)
+    pooled = model.pooled(feats)
+    assert pooled.shape == (4, 3, 2)
+    assert model.fused(feats).shape == (4, 3)
     assert DBC_DEFAULT_WINDOW == PoolSpec.square(3, stride=1)
     assert cfg.resolve_window(feats) == DBC_DEFAULT_WINDOW
 
@@ -299,11 +330,12 @@ def test_multiscale_branch_pools_mixed_planes():
     feats = fixture_feats(c=4, hw=8)
     planes = model.scale_planes(feats)
     assert planes.shape[1] == 8  # S * C planes, scale-major
-    pooled = model.pooling_branch(feats)
-    assert pooled.shape == (4, 4, 1, 1)
+    fused = model.fused(feats)
+    assert fused.shape == (4, 4)
     from lacuna.tensor import mix_scales
     mixed = mix_scales(planes, model.mix)
-    assert np.allclose(pooled, pool_avg(mixed, global_spec(mixed)))
+    assert np.allclose(fused, pool_avg(mixed, global_spec(mixed))[:, :, 0, 0]
+                       * gap(feats)[:, :, 0, 0])
 
 
 def test_mix_scale_slot_mismatch_rejected():

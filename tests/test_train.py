@@ -208,11 +208,10 @@ def registry_gradients(model, feats, labels, idx):
     """Loss and head gradients through the 4-D ops and the vjp registry."""
     back = gradcheck.backward
     gapped = gap(feats[idx])
-    planes = model.scale_planes(feats)
-    if planes is None:
-        lac = model.pooling_branch(feats)[idx]
+    planes = model.scale_planes(feats)[idx]
+    if model.mix is None:
+        lac = gap(planes)  # the single plane is the pooling branch
     else:
-        planes = planes[idx]
         mixed = mix_scales(planes, model.mix)
         lac = gap(mixed)
     fused = elementwise_mul(lac, gapped)[:, :, 0, 0]
@@ -221,7 +220,7 @@ def registry_gradients(model, feats, labels, idx):
     (d_logits,) = back("softmax_cross_entropy", (logits, labels[idx]), 1.0)
     d_fused, d_w, d_b = back("linear_classifier", (fused, w, b), d_logits)
     grads = {"classifier_w": d_w, "classifier_b": d_b}
-    if planes is not None:
+    if model.mix is not None:
         d_lac, _ = back("elementwise_mul", (lac, gapped),
                         d_fused[:, :, None, None])
         (d_mixed,) = back("gap", (mixed,), d_lac)
@@ -346,6 +345,24 @@ def test_lockstep_heads_match_solo_training_bit_for_bit():
         assert result.stopped_early == solo.stopped_early
         for part in ("train_idx", "val_idx", "test_idx"):
             assert np.array_equal(getattr(result, part), getattr(solo, part))
+
+
+def test_trained_heads_score_with_the_logits_training_saw():
+    # one head path: forward on a feature subset gives the training state's
+    # logits for those rows bit for bit, for every pooling method
+    stack = [toy_setup(pooling=pool)[0] for pool in METHOD_POOLS.values()]
+    _, feats, labels = toy_setup()
+    results = train_heads(stack, feats, labels,
+                          TrainConfig(max_epochs=4, early_stop_patience=3,
+                                      learning_rate=0.5))
+    state = _HeadState(stack, feats, labels)
+    for rows in (results[0].test_idx, np.arange(len(labels))[::-1]):
+        logits, fused, _, _ = state._forward(rows)
+        for i, (name, model) in enumerate(zip(METHOD_POOLS, stack)):
+            assert np.array_equal(model.forward(feats[rows]), logits[i]), name
+            assert np.array_equal(model.fused(feats[rows]), fused[i]), name
+            assert np.array_equal(model.predict(feats[rows]),
+                                  logits[i].argmax(axis=1)), name
 
 
 def test_nan_in_one_head_of_a_stack_raises():
