@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .lacunarity import (
+    _BLUR_SPEC,
     _BLUR_TAPS,
     LacunarityConfig,
     base_lacunarity,
@@ -42,9 +43,9 @@ from .tensor import (
     GroupedMixWeights,
     PoolSpec,
     ShapeMismatchError,
-    _offset_view,
     _padded,
     _resample_axis,
+    _window_cells,
     as_feature_map,
     elementwise_mul,
     gap,
@@ -73,18 +74,17 @@ def _expect(upstream: np.ndarray, shape: tuple) -> np.ndarray:
     return upstream
 
 
-def _scatter_pool(upstream: np.ndarray, spec: PoolSpec, h: int, w: int) -> np.ndarray:
-    """Adjoint of pool_sum: route each window value back to its member cells."""
+def _scatter_pool(upstream: np.ndarray, spec: PoolSpec, h: int, w: int,
+                  winner: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of pool_sum: route each window value back to its member cells.
+
+    With `winner`, offset k routes only to windows whose winner is k.
+    """
     n, c, oh, ow = upstream.shape
     pad = spec.padding
     gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    for ki in range(spec.kernel_h):
-        for kj in range(spec.kernel_w):
-            i0 = ki * spec.dilation
-            j0 = kj * spec.dilation
-            gxp[:, :,
-                i0:i0 + (oh - 1) * spec.stride_h + 1:spec.stride_h,
-                j0:j0 + (ow - 1) * spec.stride_w + 1:spec.stride_w] += upstream
+    for k, cells in enumerate(_window_cells(spec, oh, ow)):
+        gxp[cells] += upstream if winner is None else upstream * (winner == k)
     return gxp[:, :, pad:pad + h, pad:pad + w]
 
 
@@ -94,14 +94,11 @@ def _winner_offsets(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     xp = _padded(x, spec.padding, -np.inf)
     best = np.full((x.shape[0], x.shape[1], out_h, out_w), -np.inf)
     winner = np.zeros(best.shape, dtype=np.intp)
-    k = 0
-    for ki in range(spec.kernel_h):
-        for kj in range(spec.kernel_w):
-            v = _offset_view(xp, spec, out_h, out_w, ki, kj)
-            better = v > best
-            best[better] = v[better]
-            winner[better] = k
-            k += 1
+    for k, cells in enumerate(_window_cells(spec, out_h, out_w)):
+        v = xp[cells]
+        better = v > best
+        best[better] = v[better]
+        winner[better] = k
     return winner
 
 
@@ -132,23 +129,9 @@ def vjp_pool_avg(upstream, x, spec):
 
 def vjp_pool_max(upstream, x, spec):
     x = as_feature_map(x)
-    out_h, out_w = spec.out_size(x.shape[2], x.shape[3])
-    upstream = _expect(upstream, (*x.shape[:2], out_h, out_w))
-    winner = _winner_offsets(x, spec)
-    n, c, h, w = x.shape
-    pad = spec.padding
-    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    k = 0
-    for ki in range(spec.kernel_h):
-        for kj in range(spec.kernel_w):
-            i0 = ki * spec.dilation
-            j0 = kj * spec.dilation
-            gxp[:, :,
-                i0:i0 + (out_h - 1) * spec.stride_h + 1:spec.stride_h,
-                j0:j0 + (out_w - 1) * spec.stride_w + 1:spec.stride_w] += (
-                    upstream * (winner == k))
-            k += 1
-    return (gxp[:, :, pad:pad + h, pad:pad + w],)
+    upstream = _expect(upstream, (*x.shape[:2], *spec.out_size(x.shape[2], x.shape[3])))
+    return (_scatter_pool(upstream, spec, x.shape[2], x.shape[3],
+                          _winner_offsets(x, spec)),)
 
 
 def _vjp_variance_ratio(upstream, x, spec, epsilon):
@@ -255,9 +238,8 @@ def _blur_adjoint(g: np.ndarray) -> np.ndarray:
     """Adjoint of the reflect-padded 5x5 binomial blur."""
     n, c, h, w = g.shape
     gxp = np.zeros((n, c, h + 4, w + 4))
-    for a in range(5):
-        for b in range(5):
-            gxp[:, :, a:a + h, b:b + w] += _BLUR_TAPS[a, b] * g
+    for tap, cells in zip(_BLUR_TAPS.flat, _window_cells(_BLUR_SPEC, h, w)):
+        gxp[cells] += tap * g
     rows = np.zeros((n, c, h, w + 4))
     for i in range(h + 4):
         rows[:, :, _fold(i - 2, h), :] += gxp[:, :, i, :]

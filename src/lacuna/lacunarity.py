@@ -24,6 +24,7 @@ import numpy as np
 from .tensor import (
     GroupedMixWeights,
     PoolSpec,
+    _window_cells,
     as_feature_map,
     mix_scales,
     pool_max,
@@ -133,7 +134,9 @@ def variance_ratio(x: np.ndarray, spec: PoolSpec, epsilon: float) -> np.ndarray:
 
 def _ratio_from_sums(area, s1, s2, epsilon):
     """n * s2 / (s1^2 + epsilon) - 1, clamped at 0, from window sums of x, x^2."""
-    return np.maximum(area * s2 / (s1 * s1 + epsilon) - 1.0, 0.0)
+    # a huge unnormalised input overflows to the documented +inf
+    with np.errstate(over="ignore"):
+        return np.maximum(area * s2 / (s1 * s1 + epsilon) - 1.0, 0.0)
 
 
 def base_lacunarity(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
@@ -239,17 +242,16 @@ def dbc_lacunarity(x: np.ndarray, cfg: LacunarityConfig,
 
 
 _BLUR_TAPS = np.outer([1.0, 4.0, 6.0, 4.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0]) / 256.0
+_BLUR_SPEC = PoolSpec.square(5, stride=1)
 
 
 def blur_binomial5(x: np.ndarray) -> np.ndarray:
     """5x5 binomial blur under reflect padding (mirror without the edge)."""
     x = as_feature_map(x)
     xp = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)), mode="reflect")
-    h, w = x.shape[2], x.shape[3]
     out = np.zeros_like(x)
-    for a in range(5):
-        for b in range(5):
-            out += _BLUR_TAPS[a, b] * xp[:, :, a:a + h, b:b + w]
+    for tap, cells in zip(_BLUR_TAPS.flat, _window_cells(_BLUR_SPEC, *x.shape[2:])):
+        out += tap * xp[cells]
     return out
 
 

@@ -31,7 +31,10 @@ from .lacunarity import (
 )
 from .tensor import (
     GroupedMixWeights,
+    PoolSpec,
     ShapeMismatchError,
+    _padded,
+    _window_cells,
     as_feature_map,
     gap,
     global_spec,
@@ -121,18 +124,14 @@ _BLOCK_PIXELS = 16 * 56 * 56
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
             padding: int) -> np.ndarray:
-    n, c_in, h, wd = x.shape
-    c_out, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (wd + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, c_out, out_h, out_w))
-    for ki in range(kh):
-        for kj in range(kw):
-            view = xp[:, :,
-                      ki:ki + (out_h - 1) * stride + 1:stride,
-                      kj:kj + (out_w - 1) * stride + 1:stride]
-            out += np.einsum("nihw,oi->nohw", view, w[:, :, ki, kj])
+    c_out, c_in, kh, kw = w.shape
+    spec = PoolSpec(kh, kw, stride, stride, padding=padding)
+    out_h, out_w = spec.out_size(x.shape[2], x.shape[3])
+    xp = _padded(x, padding, 0.0)
+    taps = w.reshape(c_out, c_in, -1)
+    out = np.zeros((x.shape[0], c_out, out_h, out_w))
+    for k, cells in enumerate(_window_cells(spec, out_h, out_w)):
+        out += np.einsum("nihw,oi->nohw", xp[cells], taps[:, :, k])
     return out + b[None, :, None, None]
 
 

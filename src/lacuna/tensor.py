@@ -6,7 +6,9 @@ shape (batch, channel, height, width), dtype float64; :func:`as_feature_map`
 is the single entry point that enforces that contract.
 
 All reductions accumulate window cells in row-major order within the window,
-so results are bit-reproducible across runs.
+so results are bit-reproducible across runs.  :func:`_window_cells` is the one
+place that fixes that order: the pools here, their adjoints, the pyramid blur
+and the backbone convolution all walk its kernel offsets.
 """
 
 from __future__ import annotations
@@ -110,26 +112,35 @@ def _padded(x: np.ndarray, pad: int, fill: float) -> np.ndarray:
     return out
 
 
-def _offset_view(xp: np.ndarray, spec: PoolSpec, out_h: int, out_w: int,
-                 ki: int, kj: int) -> np.ndarray:
-    """The cells that kernel offset (ki, kj) contributes to every window."""
-    i0 = ki * spec.dilation
-    j0 = kj * spec.dilation
-    return xp[:, :,
-              i0:i0 + (out_h - 1) * spec.stride_h + 1:spec.stride_h,
-              j0:j0 + (out_w - 1) * spec.stride_w + 1:spec.stride_w]
+def _window_cells(spec: PoolSpec, out_h: int, out_w: int):
+    """Index tuples `(..., rows, cols)` selecting each kernel offset's cells.
+
+    One tuple per offset, in row-major kernel order; each picks that offset's
+    cell of every window from the padded map.  This generator is the one
+    place that fixes the order every reduction accumulates in.
+    """
+    d, sh, sw = spec.dilation, spec.stride_h, spec.stride_w
+    rows = [slice(i, i + (out_h - 1) * sh + 1, sh)
+            for i in range(0, d * spec.kernel_h, d)]
+    cols = [slice(j, j + (out_w - 1) * sw + 1, sw)
+            for j in range(0, d * spec.kernel_w, d)]
+    return ((..., r, c) for r in rows for c in cols)
+
+
+def _pool(x: np.ndarray, spec: PoolSpec, fill: float, combine) -> np.ndarray:
+    """Fold `combine` over every window's cells; `fill` pads and seeds it."""
+    x = as_feature_map(x)
+    out_h, out_w = spec.out_size(x.shape[2], x.shape[3])
+    xp = _padded(x, spec.padding, fill)
+    out = np.full((x.shape[0], x.shape[1], out_h, out_w), fill)
+    for cells in _window_cells(spec, out_h, out_w):
+        combine(out, xp[cells], out=out)
+    return out
 
 
 def pool_sum(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     """Windowed sum; padded cells contribute 0."""
-    x = as_feature_map(x)
-    out_h, out_w = spec.out_size(x.shape[2], x.shape[3])
-    xp = _padded(x, spec.padding, 0.0)
-    out = np.zeros((x.shape[0], x.shape[1], out_h, out_w))
-    for ki in range(spec.kernel_h):
-        for kj in range(spec.kernel_w):
-            out += _offset_view(xp, spec, out_h, out_w, ki, kj)
-    return out
+    return _pool(x, spec, 0.0, np.add)
 
 
 def pool_avg(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
@@ -139,26 +150,12 @@ def pool_avg(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
 
 def pool_max(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     """Windowed maximum over the dilated window positions."""
-    x = as_feature_map(x)
-    out_h, out_w = spec.out_size(x.shape[2], x.shape[3])
-    xp = _padded(x, spec.padding, -np.inf)
-    out = np.full((x.shape[0], x.shape[1], out_h, out_w), -np.inf)
-    for ki in range(spec.kernel_h):
-        for kj in range(spec.kernel_w):
-            np.maximum(out, _offset_view(xp, spec, out_h, out_w, ki, kj), out=out)
-    return out
+    return _pool(x, spec, -np.inf, np.maximum)
 
 
 def pool_min(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     """Windowed minimum over the dilated window positions."""
-    x = as_feature_map(x)
-    out_h, out_w = spec.out_size(x.shape[2], x.shape[3])
-    xp = _padded(x, spec.padding, np.inf)
-    out = np.full((x.shape[0], x.shape[1], out_h, out_w), np.inf)
-    for ki in range(spec.kernel_h):
-        for kj in range(spec.kernel_w):
-            np.minimum(out, _offset_view(xp, spec, out_h, out_w, ki, kj), out=out)
-    return out
+    return _pool(x, spec, np.inf, np.minimum)
 
 
 def pool_l2(x: np.ndarray, spec: PoolSpec) -> np.ndarray:

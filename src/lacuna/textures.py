@@ -21,7 +21,7 @@ it alone fixes the global lacunarity of every draw, whatever the arrangement:
 heterogeneity dataset instead holds the gap count exactly equal across its
 classes so that only the spatial arrangement separates them.
 
-Band constants come from scripts/calibrate_bands.py.
+The test suite checks each band from the gap count for sizes 16 to 4096.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ GRADE_GAP_FRACTION = {"low": 0.2304, "medium": 0.24, "high": 0.2496}
 
 # Registered acceptance bands for the global lacunarity of each grade
 # (inner edges are midpoints between adjacent grade levels; outer edges
-# mirror the same half-gap).  Regenerate with scripts/calibrate_bands.py.
+# mirror the same half-gap); the grade band test checks them from the gap count.
 GRADE_BANDS = {
     "low": (0.197211, 0.207345),
     "medium": (0.207345, 0.217560),

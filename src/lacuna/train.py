@@ -53,16 +53,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not 0 <= self.early_stop_patience < self.max_epochs:
             raise ValueError("early_stop_patience must sit below max_epochs")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("moment decays must lie in [0, 1)")
-        if self.eps_opt <= 0:
-            raise ValueError("eps_opt must be > 0")
+        if not 0 < self.eps_opt < np.inf:
+            raise ValueError("eps_opt must be finite and > 0")
 
 
 def split_indices(labels: np.ndarray, seed: int,

@@ -187,6 +187,16 @@ def test_experiment_bad_config_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_experiment_non_finite_learning_rate_exits_1(tmp_path, capsys, rate):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(TOY_INI.format(out=str(tmp_path / "results.txt"))
+                   + f"learning_rate = {rate}\n")
+    assert cli.main(["experiment", str(ini)]) == 1
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "results.txt").exists()
+
+
 def test_experiment_divergence_exits_3(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "results.txt")
     ini = tmp_path / "exp.ini"

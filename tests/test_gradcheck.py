@@ -17,6 +17,7 @@ from lacuna.gradcheck import (
 from lacuna.lacunarity import (
     LacunarityConfig,
     base_lacunarity,
+    blur_binomial5,
     multiscale_lacunarity,
     tanh_scale,
 )
@@ -74,6 +75,44 @@ def test_pool_max_backward_conserves_mass_on_partitions(seed, kernel):
     upstream = rng.standard_normal((2, 2, 3, 2))
     (g,) = backward("pool_max", (x, spec), upstream)
     assert np.isclose(g.sum(), upstream.sum(), rtol=1e-12, atol=1e-12)
+
+
+def _adjoint_holds(forward_out, upstream, x, grad):
+    """<f(x), u> == <x, f*(u)> to 1e-12 of the summed term magnitudes."""
+    scale = np.abs(forward_out * upstream).sum()
+    return np.isclose((forward_out * upstream).sum(), (x * grad).sum(),
+                      rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       dilation=st.integers(1, 3), data=st.data())
+def test_pool_adjoint_identities_across_window_geometry(seed, kernel, stride,
+                                                        dilation, data):
+    eff = dilation * (max(kernel) - 1) + 1
+    pad = data.draw(st.integers(0, eff // 2), label="padding")
+    spec = PoolSpec(*kernel, *stride, dilation=dilation, padding=pad)
+    h, w = (max(1, dilation * (k - 1) + 1 - 2 * pad) + data.draw(st.integers(0, 5))
+            for k in kernel)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 2, h, w))
+    u = rng.standard_normal((2, 2, *spec.out_size(h, w)))
+    for op, fwd in (("pool_sum", pool_sum), ("pool_max", pool_max)):
+        (g,) = backward(op, (x, spec), u)
+        # a window of padding alone (the padding cap does not rule it out on
+        # a non-square or dilated kernel) has max -inf and routes nothing
+        out = fwd(x, spec)
+        assert _adjoint_holds(np.where(np.isfinite(out), out, 0.0), u, x, g), op
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 9), w=st.integers(2, 9))
+def test_blur_adjoint_identity_through_reflect_folds(seed, h, w):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((1, 2, h, w))
+    g = rng.standard_normal((1, 2, h, w))
+    assert _adjoint_holds(blur_binomial5(x), g, x, gradcheck._blur_adjoint(g))
 
 
 def test_elementwise_mul_backward_product_rule_exact():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,17 @@ def test_variance_ratio_of_huge_values_matches_prescaled_map():
     assert out[0, 0, 0, 0] == pytest.approx(expected, rel=1e-12)
     assert variance_ratio(x, PoolSpec.square(2), 1e-6)[0, 0, 0, 0] \
         == pytest.approx(expected, rel=1e-12)
+
+
+def test_zero_mean_huge_window_overflows_to_inf_without_a_warning():
+    # the window sum cancels to 0 while the rescaled epsilon is a denormal,
+    # so the ratio overflows: the documented result is +inf, silently
+    x = np.array([[[[1e300, -1e300], [1e300, -1e300]]]])
+    cfg = LacunarityConfig(normalize_input=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = base_lacunarity(x, cfg)
+    assert out.shape == (1, 1, 1, 1) and out[0, 0, 0, 0] == np.inf
 
 
 def test_variance_ratio_rescaled_input_keeps_zero_windows_at_zero():

@@ -36,7 +36,7 @@ def test_feature_file_round_trip(tmp_path):
 def test_feature_file_layout(tmp_path):
     path = str(tmp_path / "feats.bin")
     write_feature_file(path, np.arange(4.0).reshape(1, 1, 2, 2))
-    blob = open(path, "rb").read()
+    blob = (tmp_path / "feats.bin").read_bytes()
     assert blob[:4] == b"LACF"
     assert blob[4:20] == (1).to_bytes(4, "little") * 2 \
         + (2).to_bytes(4, "little") * 2

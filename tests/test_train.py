@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -45,6 +46,10 @@ def test_config_validation():
         TrainConfig(max_epochs=5, early_stop_patience=5)
     with pytest.raises(ValueError):
         TrainConfig(beta1=1.0)
+    for knobs in ({"learning_rate": math.nan}, {"learning_rate": math.inf},
+                  {"eps_opt": math.nan}, {"eps_opt": math.inf}, {"eps_opt": 0.0}):
+        with pytest.raises(ValueError):
+            TrainConfig(**knobs)
 
 
 # ------------------------------------------------------------------- splits
