@@ -35,6 +35,7 @@ from .lacunarity import (
     gaussian_pyramid,
     multiscale_lacunarity,
     multiscale_scale_planes,
+    scale_planes,
     tanh_scale,
     variance_ratio,
 )
@@ -93,83 +94,3 @@ from .experiment import (
     run_experiment,
     write_results,
 )
-
-__all__ = [
-    "Adam",
-    "BACKWARD",
-    "BASELINE_POOLS",
-    "CHECKED_OPS",
-    "DbcStats",
-    "DivergenceError",
-    "EmptySplitError",
-    "EvalReport",
-    "ExperimentConfig",
-    "ExperimentConfigError",
-    "ExperimentResult",
-    "FdrReport",
-    "FeatureFileError",
-    "FrozenBackbone",
-    "FusionModel",
-    "GRADES",
-    "GradCheckReport",
-    "GroupedMixWeights",
-    "History",
-    "LacunarityConfig",
-    "MethodSummary",
-    "PgmError",
-    "PoolSpec",
-    "PyramidDepthError",
-    "ShapeMismatchError",
-    "TextureGenerationError",
-    "TextureSample",
-    "TrainConfig",
-    "TrainResult",
-    "UnknownOpError",
-    "as_feature_map",
-    "backward",
-    "base_lacunarity",
-    "blur_binomial5",
-    "box_index",
-    "dbc_column_heights",
-    "dbc_lacunarity",
-    "dbc_scale_planes",
-    "elementwise_mul",
-    "evaluate",
-    "finite_diff_check",
-    "fisher_discriminant_ratio",
-    "format_results",
-    "gap",
-    "gaussian_pyramid",
-    "generate_texture",
-    "global_lacunarity",
-    "global_spec",
-    "heterogeneity_dataset",
-    "linear_classifier",
-    "load_config",
-    "mix_scales",
-    "multiscale_lacunarity",
-    "multiscale_scale_planes",
-    "pool_avg",
-    "pool_l2",
-    "pool_max",
-    "pool_min",
-    "pool_sum",
-    "read_feature_file",
-    "read_label_sidecar",
-    "read_pgm",
-    "run_experiment",
-    "run_gradient_suite",
-    "softmax",
-    "softmax_cross_entropy",
-    "split_indices",
-    "summarize_log_fdr",
-    "tanh_scale",
-    "toy_dataset",
-    "train",
-    "train_heads",
-    "upsample_bilinear",
-    "variance_ratio",
-    "write_feature_file",
-    "write_pgm",
-    "write_results",
-]

@@ -17,14 +17,9 @@ from .experiment import (
     write_results,
 )
 from .gradcheck import run_gradient_suite
-from .lacunarity import (
-    LacunarityConfig,
-    base_lacunarity,
-    dbc_lacunarity,
-    multiscale_lacunarity,
-)
+from .lacunarity import LacunarityConfig, base_lacunarity, scale_planes
 from .pgm import PgmError, read_pgm_raw, write_pgm
-from .tensor import GroupedMixWeights, PoolSpec
+from .tensor import GroupedMixWeights, PoolSpec, mix_scales
 from .train import DivergenceError
 
 EXIT_OK = 0
@@ -112,22 +107,13 @@ def _cmd_lacmap(args) -> int:
         if args.window is not None:
             stride = args.stride if args.stride is not None else args.window
             window = PoolSpec.square(args.window, stride=stride)
-        if args.method == "base":
-            cfg = LacunarityConfig(method="base", window=window,
-                                   epsilon=args.epsilon)
-            heat = base_lacunarity(x, cfg)
-        elif args.method == "ms":
-            given = {} if args.scales is None else {"scales": args.scales}
-            cfg = LacunarityConfig(method="multiscale", window=window,
-                                   epsilon=args.epsilon, **given)
-            mix = GroupedMixWeights.uniform(1, cfg.scale_count)
-            heat = multiscale_lacunarity(x, cfg, mix)
-        else:
-            given = ({} if args.dilations is None
-                     else {"dilation_set": args.dilations})
-            cfg = LacunarityConfig(method="dbc", window=window,
-                                   epsilon=args.epsilon, **given)
-            heat = dbc_lacunarity(x, cfg)
+        given = {"scales": args.scales, "dilation_set": args.dilations}
+        cfg = LacunarityConfig(
+            method={"ms": "multiscale"}.get(args.method, args.method),
+            window=window, epsilon=args.epsilon,
+            **{k: v for k, v in given.items() if v is not None})
+        heat = mix_scales(scale_planes(x, cfg),
+                          GroupedMixWeights.uniform(1, cfg.scale_count))
     except ValueError as exc:  # bad flag combination for this input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,11 +32,11 @@ from .lacunarity import (
     _BLUR_SPEC,
     _BLUR_TAPS,
     LacunarityConfig,
+    _multiscale_pass,
+    _reflect_index,
     base_lacunarity,
-    gaussian_pyramid,
     multiscale_lacunarity,
     tanh_scale,
-    variance_ratio,
 )
 from .model import linear_classifier, softmax, softmax_cross_entropy
 from .tensor import (
@@ -53,7 +53,6 @@ from .tensor import (
     pool_avg,
     pool_max,
     pool_sum,
-    upsample_bilinear,
 )
 
 Gradient = np.ndarray
@@ -226,26 +225,17 @@ def _undecimate(g: np.ndarray, h: int, w: int) -> np.ndarray:
     return full
 
 
-def _fold(t: int, n: int) -> int:
-    if n == 1:
-        return 0
-    while t < 0 or t > n - 1:
-        t = -t if t < 0 else 2 * (n - 1) - t
-    return t
-
-
 def _blur_adjoint(g: np.ndarray) -> np.ndarray:
     """Adjoint of the reflect-padded 5x5 binomial blur."""
     n, c, h, w = g.shape
     gxp = np.zeros((n, c, h + 4, w + 4))
     for tap, cells in zip(_BLUR_TAPS.flat, _window_cells(_BLUR_SPEC, h, w)):
         gxp[cells] += tap * g
+    # fold padding onto its source cells: rows, then columns, in padded order
     rows = np.zeros((n, c, h, w + 4))
-    for i in range(h + 4):
-        rows[:, :, _fold(i - 2, h), :] += gxp[:, :, i, :]
+    np.add.at(rows, (slice(None), slice(None), _reflect_index(h)), gxp)
     out = np.zeros((n, c, h, w))
-    for j in range(w + 4):
-        out[:, :, :, _fold(j - 2, w)] += rows[:, :, :, j]
+    np.add.at(out, (slice(None), slice(None), slice(None), _reflect_index(w)), rows)
     return out
 
 
@@ -272,24 +262,14 @@ def vjp_multiscale_lacunarity(upstream, x, cfg, mix):
     """
     x = as_feature_map(x)
     xs = tanh_scale(x) if cfg.normalize_input else x
-    levels = gaussian_pyramid(xs, cfg.scales)
-    specs = [cfg.resolve_window(lv) for lv in levels]
-    maps = [variance_ratio(lv, sp, cfg.epsilon) for lv, sp in zip(levels, specs)]
-    th, tw = maps[0].shape[2], maps[0].shape[3]
-    ups = [maps[0]] + [
-        m if m.shape[2:] == (th, tw) else upsample_bilinear(m, th, tw)
-        for m in maps[1:]
-    ]
-    n, c = x.shape[0], x.shape[1]
-    stacked = np.stack(ups, axis=2).reshape(n, c * cfg.scales, th, tw)
-    d_stacked, d_weights, d_bias = backward(
-        "mix_scales", (stacked, mix), upstream)
-    d_ups = d_stacked.reshape(n, c, cfg.scales, th, tw)
+    levels, specs, maps, stacked = _multiscale_pass(xs, cfg)
+    d_stacked, d_weights, d_bias = backward("mix_scales", (stacked, mix), upstream)
+    d_ups = d_stacked.reshape(*x.shape[:2], cfg.scales, *stacked.shape[2:])
     d_levels = []
     for k in range(cfg.scales):
         g = d_ups[:, :, k]
-        if maps[k].shape[2:] != (th, tw):
-            g = _upsample_adjoint(g, maps[k].shape[2], maps[k].shape[3])
+        if maps[k].shape != g.shape:
+            g = _upsample_adjoint(g, *maps[k].shape[2:])
         d_levels.append(_vjp_variance_ratio(g, levels[k], specs[k], cfg.epsilon))
     carry = d_levels[-1]
     for k in range(cfg.scales - 1, 0, -1):

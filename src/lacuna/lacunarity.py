@@ -17,7 +17,7 @@ feature values of any magnitude land in (0, 255).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,8 +224,7 @@ def dbc_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
         for r in cfg.dilation_set
     ]
     stacked = np.stack(planes, axis=2)  # (N, C, R, H', W')
-    n, c, rr, h, w = stacked.shape
-    return stacked.reshape(n, c * rr, h, w)
+    return stacked.reshape(stacked.shape[0], -1, *stacked.shape[3:])
 
 
 def dbc_lacunarity(x: np.ndarray, cfg: LacunarityConfig,
@@ -235,20 +234,22 @@ def dbc_lacunarity(x: np.ndarray, cfg: LacunarityConfig,
     With `mix=None` the dilations are averaged (weights 1/R, zero bias),
     which for a single dilation factor is the identity mix.
     """
-    planes = dbc_scale_planes(x, cfg)
-    if mix is None:
-        mix = GroupedMixWeights.uniform(x.shape[1], cfg.scale_count)
-    return mix_scales(planes, mix)
+    return _mixed(dbc_scale_planes(x, cfg), cfg, mix)
 
 
 _BLUR_TAPS = np.outer([1.0, 4.0, 6.0, 4.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0]) / 256.0
 _BLUR_SPEC = PoolSpec.square(5, stride=1)
 
 
+def _reflect_index(n: int) -> np.ndarray:
+    """Source index of each cell of an n-cell axis reflect-padded by 2."""
+    return np.pad(np.arange(n), 2, mode="reflect")
+
+
 def blur_binomial5(x: np.ndarray) -> np.ndarray:
     """5x5 binomial blur under reflect padding (mirror without the edge)."""
     x = as_feature_map(x)
-    xp = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)), mode="reflect")
+    xp = x[:, :, _reflect_index(x.shape[2])[:, None], _reflect_index(x.shape[3])]
     out = np.zeros_like(x)
     for tap, cells in zip(_BLUR_TAPS.flat, _window_cells(_BLUR_SPEC, *x.shape[2:])):
         out += tap * xp[cells]
@@ -276,6 +277,19 @@ def gaussian_pyramid(x: np.ndarray, levels: int) -> list[np.ndarray]:
     return out
 
 
+def _multiscale_pass(xs: np.ndarray, cfg: LacunarityConfig):
+    """Pyramid levels of the squashed input `xs`, their windows, their ratio
+    maps and the maps upsampled and stacked channel-major (N, C*S, H', W')."""
+    levels = gaussian_pyramid(xs, cfg.scales)
+    specs = [cfg.resolve_window(lv) for lv in levels]
+    maps = [variance_ratio(lv, sp, cfg.epsilon) for lv, sp in zip(levels, specs)]
+    th, tw = maps[0].shape[2:]
+    ups = [m if m.shape[2:] == (th, tw) else upsample_bilinear(m, th, tw)
+           for m in maps]
+    stacked = np.stack(ups, axis=2).reshape(xs.shape[0], -1, th, tw)
+    return levels, specs, maps, stacked
+
+
 def multiscale_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     """Per-level lacunarity planes at a common resolution, channel-major.
 
@@ -289,26 +303,31 @@ def multiscale_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     x = as_feature_map(x)
     if cfg.normalize_input:
         x = tanh_scale(x)
-    levels = gaussian_pyramid(x, cfg.scales)
-    maps = [variance_ratio(lv, cfg.resolve_window(lv), cfg.epsilon) for lv in levels]
-    target_h, target_w = maps[0].shape[2], maps[0].shape[3]
-    maps = [
-        m if m.shape[2:] == (target_h, target_w)
-        else upsample_bilinear(m, target_h, target_w)
-        for m in maps
-    ]
-    stacked = np.stack(maps, axis=2)  # (N, C, S, H', W')
-    n, c, s, h, w = stacked.shape
-    return stacked.reshape(n, c * s, h, w)
+    return _multiscale_pass(x, cfg)[3]
 
 
 def multiscale_lacunarity(x: np.ndarray, cfg: LacunarityConfig,
-                          mix: GroupedMixWeights) -> np.ndarray:
-    """Multi-scale lacunarity: pyramid, per-level gliding box, upsample, mix."""
-    planes = multiscale_scale_planes(x, cfg)
-    if mix.channels != x.shape[1] or mix.scales != cfg.scale_count:
-        raise ValueError(
-            f"mix weights sized ({mix.channels}, {mix.scales}) do not match "
-            f"C={x.shape[1]}, S={cfg.scale_count}"
-        )
+                          mix: GroupedMixWeights | None = None) -> np.ndarray:
+    """Multi-scale lacunarity: pyramid, per-level gliding box, upsample, mix
+    (`mix=None` averages the levels: weights 1/S, zero bias)."""
+    return _mixed(multiscale_scale_planes(x, cfg), cfg, mix)
+
+
+def _mixed(planes: np.ndarray, cfg: LacunarityConfig,
+           mix: GroupedMixWeights | None) -> np.ndarray:
+    """C*S channel-major planes mixed to C channels; `mix` must be (C, S)."""
+    s = cfg.scale_count
+    c = planes.shape[1] // s
+    if mix is None:
+        mix = GroupedMixWeights.uniform(c, s)
+    if (mix.channels, mix.scales) != (c, s):
+        raise ValueError(f"mix sized ({mix.channels}, {mix.scales}), need C={c}, S={s}")
     return mix_scales(planes, mix)
+
+
+def scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
+    """`cfg.method`'s (N, C*S, H', W') planes, S = cfg.scale_count: the one
+    method dispatch.  The table is built per call, so a wrapped or patched
+    operator is the one that runs."""
+    return {"base": base_lacunarity, "dbc": dbc_scale_planes,
+            "multiscale": multiscale_scale_planes}[cfg.method](x, cfg)

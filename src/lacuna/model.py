@@ -18,17 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lacunarity import (
-    LacunarityConfig,
-    base_lacunarity,
-    dbc_scale_planes,
-    multiscale_scale_planes,
-)
+from .lacunarity import LacunarityConfig, scale_planes
 from .tensor import (
     GroupedMixWeights,
     PoolSpec,
@@ -86,24 +82,27 @@ def write_feature_file(path: str, features: np.ndarray,
 
 def read_feature_file(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != FEATURE_MAGIC:
-        raise FeatureFileError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 20:
-        raise FeatureFileError(f"{path}: truncated header")
-    dims = struct.unpack("<4I", blob[4:20])
-    if 0 in dims:
-        raise FeatureFileError(f"{path}: dims {dims} hold an empty axis")
-    count = math.prod(dims)  # Python ints: no wraparound on corrupt dims
-    payload = blob[20:]
-    if len(payload) != count * 8:
-        raise FeatureFileError(
-            f"{path}: payload holds {len(payload)} bytes, dims {dims} need {count * 8}"
-        )
-    data = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+        head = fh.read(20)
+        if head[:4] != FEATURE_MAGIC:
+            raise FeatureFileError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 20:
+            raise FeatureFileError(f"{path}: truncated header")
+        dims = struct.unpack("<4I", head[4:])
+        if 0 in dims:
+            raise FeatureFileError(f"{path}: dims {dims} hold an empty axis")
+        count = math.prod(dims)  # Python ints: no wraparound on corrupt dims
+        size = os.fstat(fh.fileno()).st_size - 20
+        if size != count * 8:
+            raise FeatureFileError(
+                f"{path}: payload holds {size} bytes, dims {dims} need {count * 8}"
+            )
+        # read straight into the array: no whole-file bytes or payload copy
+        data = np.fromfile(fh, dtype="<f8", count=count)
+    if data.size != count:
+        raise FeatureFileError(f"{path}: payload ended after {data.size * 8} bytes")
     if not np.isfinite(data).all():
         raise FeatureFileError(f"{path}: payload holds NaN or Inf")
-    return data
+    return data.reshape(dims).astype(np.float64, copy=False)
 
 
 def read_label_sidecar(path: str) -> np.ndarray:
@@ -326,11 +325,7 @@ class FusionModel:
         if isinstance(self.pooling, str):
             op = {"avg": pool_avg, "max": pool_max, "l2": pool_l2}[self.pooling]
             return op(feats, global_spec(feats))
-        if self.pooling.method == "base":
-            return base_lacunarity(feats, self.pooling)
-        if self.pooling.method == "multiscale":
-            return multiscale_scale_planes(feats, self.pooling)
-        return dbc_scale_planes(feats, self.pooling)
+        return scale_planes(feats, self.pooling)
 
     def pooled(self, feats: np.ndarray) -> np.ndarray:
         """(N, C, S) scale planes averaged over space: the head's input."""

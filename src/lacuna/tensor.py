@@ -48,7 +48,8 @@ class PoolSpec:
     spaces the sampled cells, and `padding` grows both spatial borders.  Pad
     values are operation-specific: 0 for sum/avg, -inf for max, +inf for min,
     so padded cells never contaminate an extremum.  Padding is capped at half
-    the effective kernel extent so every window covers at least one real cell.
+    the larger effective kernel extent, and `out_size` rejects an input on
+    which some window would sample padding cells only.
     """
 
     kernel_h: int
@@ -92,14 +93,24 @@ class PoolSpec:
                 self.dilation * (self.kernel_w - 1) + 1)
 
     def out_size(self, h: int, w: int) -> tuple[int, int]:
-        """Output spatial dims for an h-by-w input; raises if any dim < 1."""
+        """Output spatial dims for an h-by-w input; raises ShapeMismatchError
+        if one is < 1 or if some window samples padding cells only."""
         eff_h, eff_w = self.effective_extent()
-        out_h = (h + 2 * self.padding - eff_h) // self.stride_h + 1
-        out_w = (w + 2 * self.padding - eff_w) // self.stride_w + 1
+        p, d = self.padding, self.dilation
+        out_h = (h + 2 * p - eff_h) // self.stride_h + 1
+        out_w = (w + 2 * p - eff_w) // self.stride_w + 1
         if out_h < 1 or out_w < 1:
             raise ShapeMismatchError(
                 f"window {self} does not fit a {h}x{w} input"
             )
+        # window o samples o*s + t*d along an axis; [p, p + n) are real cells
+        for n, out, k, s in ((h, out_h, self.kernel_h, self.stride_h),
+                             (w, out_w, self.kernel_w, self.stride_w)):
+            if p and not all(any(p <= o * s + t * d < p + n for t in range(k))
+                             for o in range(out) if not p <= o * s < p + n):
+                raise ShapeMismatchError(
+                    f"window {self} samples padding only on a {h}x{w} input"
+                )
         return out_h, out_w
 
 

@@ -5,6 +5,8 @@ holds, and pins the tolerance it was accepted at.  Slow paths also assert
 their wall-clock budget.
 """
 
+import ast
+import re
 import time
 from pathlib import Path
 
@@ -231,3 +233,17 @@ def test_fdr_matches_oracle_and_is_rotation_invariant():
         spun = fisher_discriminant_ratio(feats @ q, labels)
         assert spun.log_fdr == pytest.approx(got.log_fdr, rel=1e-9, abs=1e-9)
     report("FDR matches the scatter oracle and ignores feature rotations")
+
+
+def test_star_import_gives_every_name_the_readme_imports():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    wanted = {"scale_planes"}
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "lacuna":
+                wanted.update(alias.name for alias in node.names)
+    namespace = {}
+    exec("from lacuna import *", namespace)
+    assert len(wanted) > 10  # both README blocks were found
+    assert wanted <= namespace.keys()
+    report("README imports")

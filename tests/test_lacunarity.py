@@ -504,6 +504,37 @@ def test_multiscale_rejects_mismatched_mix():
         multiscale_lacunarity(x, cfg, GroupedMixWeights.uniform(5, 2))
 
 
+def test_dbc_rejects_mismatched_mix():
+    # a (3, 2) mix has the C*S = 6 planes of a 2-channel, 3-dilation input
+    x = _maps(12, n=1, c=2, h=6, w=6)
+    cfg = LacunarityConfig(method="dbc", dilation_set=(1, 2, 3))
+    with pytest.raises(ValueError):
+        dbc_lacunarity(x, cfg, GroupedMixWeights.uniform(3, 2))
+    with pytest.raises(ValueError):
+        dbc_lacunarity(x, cfg, GroupedMixWeights.uniform(2, 2))
+
+
+def test_multiscale_default_mix_averages_levels():
+    x = _maps(13, n=1, c=2, h=8, w=8)
+    cfg = LacunarityConfig(method="multiscale", scales=2)
+    assert np.array_equal(multiscale_lacunarity(x, cfg),
+                          multiscale_lacunarity(x, cfg, GroupedMixWeights.uniform(2, 2)))
+
+
+@pytest.mark.parametrize("cfg", [
+    LacunarityConfig(method="base", window=PoolSpec.square(2, stride=1)),
+    LacunarityConfig(method="dbc", dilation_set=(1, 2)),
+    LacunarityConfig(method="multiscale", scales=2),
+], ids=lambda cfg: cfg.method)
+def test_scale_planes_dispatches_on_the_method(cfg):
+    x = _maps(14, n=2, c=3, h=8, w=8)
+    want = {"base": base_lacunarity, "dbc": dbc_scale_planes,
+            "multiscale": multiscale_scale_planes}[cfg.method](x, cfg)
+    planes = lacunarity.scale_planes(x, cfg)
+    assert planes.shape[1] == 3 * cfg.scale_count
+    assert np.array_equal(planes, want)
+
+
 # ------------------------------------------------------------- config checks
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,10 +1,15 @@
+import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from _fuzz import corrupt
 from _reference import ref_backbone_features
 
+import lacuna
 from lacuna.lacunarity import DBC_DEFAULT_WINDOW, LacunarityConfig, base_lacunarity
 from lacuna.model import (
     BASELINE_POOLS,
@@ -55,6 +60,33 @@ def test_feature_file_errors(tmp_path):
     with pytest.raises(ShapeMismatchError):
         write_feature_file(str(tmp_path / "c.bin"), np.zeros((2, 1, 2, 2)),
                            labels=np.zeros(3))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads RSS from /proc/self/status")
+def test_feature_file_read_peaks_near_its_payload(tmp_path):
+    # a whole-file read, its payload slice and a dtype copy would hold ~3x it
+    dims = (5, 1, 1000, 1000)
+    payload = 8 * math.prod(dims)
+    path = tmp_path / "big.bin"
+    with open(path, "wb") as fh:
+        fh.write(_lacf(dims))
+        fh.truncate(20 + payload)  # an all-zero payload
+    # the rise runs from the current RSS, not the peak: start-up can leave a
+    # high-water mark above it that would hide part of the read's peak
+    script = ("import sys\n"
+              "from lacuna.model import read_feature_file\n"
+              "def kib(key):\n"
+              "    with open('/proc/self/status') as fh:\n"
+              "        return next(int(line.split()[1]) for line in fh if line.startswith(key))\n"
+              "before = kib('VmRSS:')\n"
+              "read_feature_file(sys.argv[1])\n"
+              "print(kib('VmHWM:') - before)\n")
+    src = os.path.dirname(os.path.dirname(lacuna.__file__))
+    run = subprocess.run([sys.executable, "-c", script, str(path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert int(run.stdout) * 1024 < 1.5 * payload
 
 
 def _lacf(dims, payload=b""):

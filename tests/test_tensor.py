@@ -116,6 +116,16 @@ def test_padding_cap_guards_inf_escape():
     x = fmap(1, 1, 4, 4)
     out = pool_max(x, PoolSpec.square(3, stride=1, padding=1))
     assert np.isfinite(out).all()
+    # within the cap, a non-square or dilated kernel can still leave a window
+    # of padding alone: the input is rejected, not pooled to -inf or 0
+    one = np.ones((1, 1, 1, 1))
+    for spec in (PoolSpec(1, 2, 1, 1, padding=1),
+                 PoolSpec.square(2, stride=1, dilation=3, padding=2),
+                 # samples on both sides of the map, none on it
+                 PoolSpec.square(2, stride=1, dilation=2, padding=1)):
+        for pool in (pool_max, pool_sum):
+            with pytest.raises(ShapeMismatchError):
+                pool(one, spec)
 
 
 @settings(deadline=None, max_examples=60)
