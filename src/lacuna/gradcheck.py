@@ -9,10 +9,14 @@ central differences of a randomly projected scalar loss.
 The rig knows each checked op through one record in a private table: its
 forward, how the probed arrays become its argument tuple, how they are
 drawn, its suite input and window cycle, and which arrays carry the sample
-axis.  Probes of sample-axis arrays run as ±h copies stacked along that axis,
-several per forward under a fixed byte budget; the resulting reports equal a
-one-probe-at-a-time sweep's.  A non-finite analytic gradient or numeric
-slope fails the check.  `probes` below 1, a `tol` or `h` that is not
+axis.  A probe of a sample-axis array copies only the probed sample: its ±h
+copies are stacked along that axis with other probes' copies, several per
+forward under a fixed byte budget, and each copy's output is the base output
+with that sample's row replaced.  The multiscale record splits its forward
+into planes and mix, so a check builds the pyramid planes once and every
+probe of a mix weight or bias re-runs only the mix.  The resulting reports
+equal a one-probe-at-a-time sweep's.  A non-finite analytic gradient or
+numeric slope fails the check.  `probes` below 1, a `tol` or `h` that is not
 positive and finite, and an empty seed list raise ValueError.
 
 Conventions: max-pooling routes gradient to the first maximal cell in
@@ -32,10 +36,12 @@ from .lacunarity import (
     _BLUR_SPEC,
     _BLUR_TAPS,
     LacunarityConfig,
+    _mixed,
     _multiscale_pass,
     _reflect_index,
     base_lacunarity,
     multiscale_lacunarity,
+    multiscale_scale_planes,
     tanh_scale,
 )
 from .model import linear_classifier, softmax, softmax_cross_entropy
@@ -325,8 +331,9 @@ WINDOW_CONFIGS = (
 _MULTISCALE_WINDOWS = (None, PoolSpec.square(2, stride=1),
                        PoolSpec.square(3, stride=3))
 
-# Most bytes of stacked input copies that one batched probe forward may hold,
-# so a large `x` cannot multiply the rig's memory by the probe count.
+# Most bytes that one batched probe forward may hold in one-sample input
+# copies plus the full outputs assembled from them, so a large `x` cannot
+# multiply the rig's memory by the probe count.
 _PROBE_BATCH_BYTES = 64 * 1024
 
 
@@ -337,9 +344,15 @@ class _Op:
     `setup(x, rng, params)` gives the probed arrays (x first, then weights
     drawn from `rng`) and a context that is never probed; `args(arrays,
     context)` is the argument tuple of both `forward` and ``backward``.  The
-    op acts sample by sample along axis 0 of the arrays in `sample_axis`.
+    op acts sample by sample along axis 0 of the arrays in `sample_axis`:
+    row i of its output depends only on row i of each of them.
     `suite_input(rng)` and `suite_params(i)` are the suite's input and the
     params of its i-th seed.
+
+    An op whose forward is planes then a mix sets `planes(arrays, context)`,
+    which reads only the sample-axis arrays, and `mix(planes, arrays,
+    context)`, which gives `forward`'s output bits from them; a probe of any
+    other array then re-runs only the mix.
     """
 
     forward: Callable
@@ -348,6 +361,8 @@ class _Op:
     suite_input: Callable
     suite_params: Callable = lambda i: {}
     sample_axis: tuple = (0,)
+    planes: Callable | None = None
+    mix: Callable | None = None
 
 
 def _args_x_context(arrays, context):
@@ -432,59 +447,89 @@ _OPS = {
         lambda x, cfg, mix: multiscale_lacunarity(x, cfg, mix), _setup_multiscale,
         lambda a, cfg: (a[0], cfg, GroupedMixWeights(a[1], a[2])), _uniform3,
         lambda i: {"cfg": LacunarityConfig(
-            method="multiscale", scales=2, window=_MULTISCALE_WINDOWS[i % 3])}),
+            method="multiscale", scales=2, window=_MULTISCALE_WINDOWS[i % 3])},
+        planes=lambda a, cfg: multiscale_scale_planes(a[0], cfg),
+        mix=lambda planes, a, cfg: _mixed(planes, cfg, GroupedMixWeights(a[1], a[2]))),
 }
 
 CHECKED_OPS = tuple(_OPS)
 
 
-def _loss(op: _Op, arrays: list, context, proj: np.ndarray) -> float:
-    return float(np.sum(proj * np.asarray(op.forward(*op.args(arrays, context)))))
+def _forward(op: _Op, arrays: list, context, planes=None) -> np.ndarray:
+    """The op's output; with `planes` (of these sample-axis arrays), the mix."""
+    if planes is None:
+        return np.asarray(op.forward(*op.args(arrays, context)))
+    return np.asarray(op.mix(planes, arrays, context))
+
+
+def _stacked_losses(op: _Op, arrays: list, context, proj: np.ndarray,
+                    out: np.ndarray, which: np.ndarray, offsets: np.ndarray,
+                    h: float, per_forward: int) -> np.ndarray:
+    """(+h, -h) losses of sample-axis coordinates, in forwards of at most
+    `per_forward` probes each.
+
+    Probe m's +h copy is copy 2m and its -h copy is copy 2m + 1; each copy
+    holds only the probed sample's row of every sample-axis array.
+    """
+    probed = np.repeat(which, 2)
+    row_size = np.array([a.size // len(out) for a in arrays])
+    sample, cell = np.divmod(np.repeat(offsets, 2), row_size[probed])
+    step = np.where(np.arange(len(probed)) % 2, -h, h)
+    losses = np.empty(len(probed))
+    for start in range(0, len(probed), 2 * per_forward):
+        at = slice(start, start + 2 * per_forward)
+        rows = sample[at]
+        copy = np.arange(len(rows))
+        tiled = list(arrays)
+        for j in op.sample_axis:
+            mine = probed[at] == j
+            tiled[j] = arrays[j][rows]
+            tiled[j].reshape(len(rows), -1)[copy[mine], cell[at][mine]] += step[at][mine]
+        full = np.repeat(out[None], len(rows), axis=0)
+        full[copy, rows] = _forward(op, tiled, context)
+        losses[at] = (proj * full).reshape(len(rows), -1).sum(axis=1)
+    return losses.reshape(-1, 2)
 
 
 def _probe_losses(op: _Op, arrays: list, context, proj: np.ndarray,
-                  coords: np.ndarray, h: float):
+                  out: np.ndarray, planes, coords: np.ndarray, h: float):
     """Projected losses with each flat coordinate in `coords` moved by +h, -h.
 
+    `out` is the op's output at `arrays`, and `planes` the op's planes there
+    (None for an op without a planes/mix split).
+
     A coordinate in a sample-axis array is probed in a stacked forward: its
-    +h and -h copies of every sample-axis array are tiled along axis 0 with
-    other probes' copies, at most `_PROBE_BATCH_BYTES` of copies per
-    forward.  Because the op acts sample by sample, each copy's loss is the
-    one a lone forward would give.  Other coordinates (weights, biases, and
-    arrays without a sample axis) are probed one forward at a time in place.
+    +h and -h copies hold only the probed sample's row of every sample-axis
+    array and are tiled along axis 0 with other probes' copies.  Each copy's
+    full output is `out` with that sample's row replaced by the copy's
+    forward row.  At most `_PROBE_BATCH_BYTES` of input and output copies
+    go into one forward.  Because the op acts sample by sample, each copy's
+    loss is the one a lone forward would give.  Other coordinates (weights,
+    biases, and arrays without a sample axis) are probed one forward at a
+    time in place; with `planes`, that forward is only the mix.
     """
     bounds = np.cumsum([0] + [a.size for a in arrays])
     which = np.searchsorted(bounds, coords, side="right") - 1
     offsets = coords - bounds[which]
-    ups = np.empty(len(coords))
-    downs = np.empty(len(coords))
-    copy_bytes = sum(arrays[j].nbytes for j in op.sample_axis)
-    per_forward = _PROBE_BATCH_BYTES // (2 * copy_bytes) if copy_bytes else 0
+    losses = np.empty((len(coords), 2))
+    per_forward = 0
+    if op.sample_axis:
+        row_bytes = sum(arrays[j].nbytes for j in op.sample_axis) // len(out)
+        per_forward = _PROBE_BATCH_BYTES // (2 * (row_bytes + out.nbytes))
     stacked = np.isin(which, op.sample_axis) & (per_forward > 0)
     batch = np.flatnonzero(stacked)
-    for start in range(0, len(batch), max(per_forward, 1)):
-        chunk = batch[start:start + per_forward]
-        copies = 2 * len(chunk)
-        tiled = list(arrays)
-        for j in op.sample_axis:
-            tiled[j] = np.tile(arrays[j], (copies,) + (1,) * (arrays[j].ndim - 1))
-        for m, p in enumerate(chunk):
-            rows = tiled[which[p]].reshape(copies, -1)  # one copy per row
-            rows[2 * m, offsets[p]] += h
-            rows[2 * m + 1, offsets[p]] -= h
-        out = np.asarray(op.forward(*op.args(tiled, context)))
-        losses = (proj * out.reshape(copies, *proj.shape)).reshape(copies, -1).sum(axis=1)
-        ups[chunk] = losses[0::2]
-        downs[chunk] = losses[1::2]
+    if len(batch):
+        losses[batch] = _stacked_losses(op, arrays, context, proj, out, which[batch],
+                                        offsets[batch], h, per_forward)
     for p in np.flatnonzero(~stacked):
         target, off = arrays[which[p]], offsets[p]
+        mix_of = None if which[p] in op.sample_axis else planes
         old = target.flat[off]
-        target.flat[off] = old + h
-        ups[p] = _loss(op, arrays, context, proj)
-        target.flat[off] = old - h
-        downs[p] = _loss(op, arrays, context, proj)
+        for k, value in enumerate((old + h, old - h)):
+            target.flat[off] = value
+            losses[p, k] = np.sum(proj * _forward(op, arrays, context, mix_of))
         target.flat[off] = old
-    return ups, downs
+    return losses[:, 0], losses[:, 1]
 
 
 def finite_diff_check(op_id: str, x: np.ndarray, h: float = 1e-5,
@@ -501,9 +546,12 @@ def finite_diff_check(op_id: str, x: np.ndarray, h: float = 1e-5,
     so the check fails.
 
     The at most ``probes + 10`` coordinates the sweep can visit are probed
-    up front, those of inputs with a sample axis in stacked forwards (see
-    :func:`_probe_losses`), and the selection above is replayed over their
-    losses; the report equals a one-probe-at-a-time sweep's.
+    up front, those of inputs with a sample axis in stacked one-sample
+    forwards (see :func:`_probe_losses`), and the selection above is
+    replayed over their losses in array operations; the report equals a
+    one-probe-at-a-time sweep's.  An op with a planes/mix split builds its
+    planes once per check: the base output and every probe of a mix weight
+    or bias re-run only the mix.
 
     Raises ValueError unless ``probes >= 1`` and `h` and `tol` are positive
     and finite, and UnknownOpError for an op outside `CHECKED_OPS`.
@@ -520,7 +568,8 @@ def finite_diff_check(op_id: str, x: np.ndarray, h: float = 1e-5,
     rng = np.random.default_rng(seed)
     arrays, context = op.setup(as_feature_map(x), rng, op_params)
     arrays = [np.array(a, dtype=np.float64) for a in arrays]
-    out = np.asarray(op.forward(*op.args(arrays, context)))
+    planes = op.planes(arrays, context) if op.planes else None
+    out = _forward(op, arrays, context, planes)
     proj = (rng.uniform(0.5, 1.5, size=out.shape)
             * rng.choice([-1.0, 1.0], size=out.shape))
     grads = backward(op_id, op.args(arrays, context), proj)
@@ -530,36 +579,28 @@ def finite_diff_check(op_id: str, x: np.ndarray, h: float = 1e-5,
 
     base = float(np.sum(proj * out))
     coords = rng.permutation(total)[:want + 10]
-    ups, downs = _probe_losses(op, arrays, context, proj, coords, h)
-    analytics = flat_grads[coords].tolist()
-    ups, downs = ups.tolist(), downs.tolist()
-    max_rel = 0.0
-    max_abs = 0.0
-    checked = 0
-    resampled = 0
-    pos = 0
-    while checked < want and pos < total:
-        up, down, analytic = ups[pos], downs[pos], analytics[pos]
-        pos += 1
-        numeric = (up - down) / (2.0 * h)
-        fwd = (up - base) / h
-        bwd = (base - down) / h
-        kinked = abs(fwd - bwd) > 1e-2 * max(1.0, abs(fwd), abs(bwd))
-        if kinked and resampled < 10 and pos < total:
-            resampled += 1
-            continue
-        if math.isfinite(analytic) and math.isfinite(numeric):
-            abs_err = abs(analytic - numeric)
-            rel = abs_err / max(abs(analytic), abs(numeric), 1e-12)
-        else:
-            abs_err = rel = math.inf
-        max_rel = max(max_rel, rel)
-        max_abs = max(max_abs, abs_err)
-        checked += 1
+    ups, downs = _probe_losses(op, arrays, context, proj, out, planes, coords, h)
+    with np.errstate(all="ignore"):  # non-finite losses fail the check below
+        numeric = (ups - downs) / (2.0 * h)
+        fwd = (ups - base) / h
+        bwd = (base - downs) / h
+        kinked = (np.abs(fwd - bwd)
+                  > 1e-2 * np.maximum(np.maximum(1.0, np.abs(fwd)), np.abs(bwd)))
+    # the sweep skips the first 10 kinked coordinates, except the very last
+    # coordinate, and stops once `want` coordinates are checked
+    skipped = np.flatnonzero(kinked[:total - 1])[:10]
+    kept = np.delete(np.arange(len(coords)), skipped)[:want]
+    analytic, numeric = flat_grads[coords[kept]], numeric[kept]
+    finite = np.isfinite(analytic) & np.isfinite(numeric)
+    with np.errstate(all="ignore"):
+        abs_err = np.where(finite, np.abs(analytic - numeric), np.inf)
+        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+        max_rel = float(np.where(finite, abs_err / scale, np.inf).max())
     return GradCheckReport(op_id=op_id, max_rel_error=max_rel,
-                           max_abs_error=max_abs, probe_count=checked,
-                           tolerance=tol, passed=max_rel < tol,
-                           resampled=resampled)
+                           max_abs_error=float(abs_err.max()),
+                           probe_count=len(kept), tolerance=tol,
+                           passed=max_rel < tol,
+                           resampled=int(np.count_nonzero(skipped < kept[-1])))
 
 
 def run_gradient_suite(seeds=range(20), tol: float = 1e-4,

@@ -16,6 +16,7 @@ feature values of any magnitude land in (0, 255).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -241,9 +242,14 @@ _BLUR_TAPS = np.outer([1.0, 4.0, 6.0, 4.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0]) / 25
 _BLUR_SPEC = PoolSpec.square(5, stride=1)
 
 
+@functools.lru_cache
 def _reflect_index(n: int) -> np.ndarray:
-    """Source index of each cell of an n-cell axis reflect-padded by 2."""
-    return np.pad(np.arange(n), 2, mode="reflect")
+    """Source index of each cell of an n-cell axis reflect-padded by 2.
+
+    Cached per n and read-only, so every caller shares one array."""
+    index = np.pad(np.arange(n), 2, mode="reflect")
+    index.setflags(write=False)
+    return index
 
 
 def blur_binomial5(x: np.ndarray) -> np.ndarray:

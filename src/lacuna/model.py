@@ -49,6 +49,9 @@ class FeatureFileError(ValueError):
 # --------------------------------------------------------------- feature I/O
 
 FEATURE_MAGIC = b"LACF"
+# payload values whose finiteness one step of the reader checks: a 64 KiB
+# boolean mask instead of one the size of the payload
+_FINITE_BLOCK = 1 << 16
 
 
 def write_feature_file(path: str, features: np.ndarray,
@@ -100,8 +103,9 @@ def read_feature_file(path: str) -> np.ndarray:
         data = np.fromfile(fh, dtype="<f8", count=count)
     if data.size != count:
         raise FeatureFileError(f"{path}: payload ended after {data.size * 8} bytes")
-    if not np.isfinite(data).all():
-        raise FeatureFileError(f"{path}: payload holds NaN or Inf")
+    for start in range(0, count, _FINITE_BLOCK):
+        if not np.isfinite(data[start:start + _FINITE_BLOCK]).all():
+            raise FeatureFileError(f"{path}: payload holds NaN or Inf")
     return data.reshape(dims).astype(np.float64, copy=False)
 
 

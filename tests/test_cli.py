@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,13 @@ def test_gradcheck_passes_and_prints_table(capsys):
         fields = row.split()
         assert fields[1] == "pass" and fields[3] == "2"
         assert int(fields[4]) >= 0
+
+
+def test_default_gradcheck_table_is_pinned(capsys):
+    # the status and max_rel columns at the defaults, recorded byte for byte
+    recorded = Path(__file__).parent / "data" / "gradcheck_default.txt"
+    assert cli.main(["gradcheck"]) == 0
+    assert capsys.readouterr().out == recorded.read_text()
 
 
 def test_gradcheck_resampled_column_sums_reports(monkeypatch, capsys):

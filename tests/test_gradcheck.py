@@ -465,6 +465,7 @@ def test_batched_sweep_equals_one_probe_at_a_time(monkeypatch, seeds, probes):
 def test_byte_budget_split_leaves_the_report_unchanged(monkeypatch):
     x = np.random.default_rng(8).uniform(-3.0, 3.0, size=(2, 2, 6, 6))
     whole = finite_diff_check("multiscale_lacunarity", x, seed=8)
+    out = multiscale_lacunarity(x, LacunarityConfig(method="multiscale", scales=2))
     batch_sizes = []
     real = gradcheck.multiscale_lacunarity
 
@@ -473,31 +474,136 @@ def test_byte_budget_split_leaves_the_report_unchanged(monkeypatch):
         return real(x, cfg, mix)
 
     monkeypatch.setattr(gradcheck, "multiscale_lacunarity", spy)
-    monkeypatch.setattr(gradcheck, "_PROBE_BATCH_BYTES", 6 * x.nbytes)
+    # one probe holds two one-sample copies of x and two assembled outputs
+    pair_bytes = 2 * (x.nbytes // len(x) + out.nbytes)
+    monkeypatch.setattr(gradcheck, "_PROBE_BATCH_BYTES", 3 * pair_bytes)
     split = finite_diff_check("multiscale_lacunarity", x, seed=8)
     assert split == whole == _reference_check("multiscale_lacunarity", x, seed=8)[0]
-    # three probes (six copies of the two samples) per stacked forward
-    assert max(batch_sizes) == 12
+    # three probes (six one-sample copies) per stacked forward
+    assert max(batch_sizes) == 6
     assert sum(size > 2 for size in batch_sizes) > 1
 
 
-@pytest.mark.parametrize("shape", [(4, 8, 8, 8), (4, 8, 32, 32)])
+def test_multiscale_builds_its_planes_once_and_probes_weights_on_the_mix(monkeypatch):
+    # few enough coordinates (72 input cells, 2 weights, 1 bias) that all are probed
+    x = np.random.default_rng(12).uniform(-3.0, 3.0, size=(2, 1, 6, 6))
+    whole_forwards, plane_builds = [], []
+    real_op = gradcheck.multiscale_lacunarity
+    real_planes = gradcheck.multiscale_scale_planes
+
+    def op_spy(x, cfg, mix):
+        whole_forwards.append(x.shape[0])
+        return real_op(x, cfg, mix)
+
+    def planes_spy(x, cfg):
+        plane_builds.append(x.shape[0])
+        return real_planes(x, cfg)
+
+    monkeypatch.setattr(gradcheck, "multiscale_lacunarity", op_spy)
+    monkeypatch.setattr(gradcheck, "multiscale_scale_planes", planes_spy)
+    rep = finite_diff_check("multiscale_lacunarity", x, seed=12)
+    assert plane_builds == [2]
+    # whole forwards run only on the ±h copies of the input cells
+    assert sum(whole_forwards) == 2 * x.size
+    assert rep == _reference_check("multiscale_lacunarity", x, seed=12)[0]
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 8, 8), (4, 8, 32, 32), (2048, 1, 2, 2)])
 def test_no_stacked_forward_exceeds_the_byte_budget(monkeypatch, shape):
     x = np.random.default_rng(9).standard_normal(shape)
-    input_bytes = []
+    out = pool_sum(x, gradcheck.WINDOW_CONFIGS[0])
+    inputs = []
     real = gradcheck.pool_sum
 
     def spy(x, spec):
-        input_bytes.append(x.nbytes)
+        inputs.append(x)
         return real(x, spec)
 
     monkeypatch.setattr(gradcheck, "pool_sum", spy)
     rep = finite_diff_check("pool_sum", x, seed=9, probes=20)
-    stacked = [b for b in input_bytes if b > x.nbytes]
-    assert all(b <= gradcheck._PROBE_BATCH_BYTES for b in stacked)
-    # a map whose two copies overrun the budget is probed one copy at a time
-    assert bool(stacked) == (2 * x.nbytes <= gradcheck._PROBE_BATCH_BYTES)
+    budget = gradcheck._PROBE_BATCH_BYTES
+    # the base forward and in-place probes get the rig's own copy of x
+    stacked = [c for c in inputs if c is not inputs[0]]
+    # a stacked forward holds its one-sample copies plus one full output each
+    assert all(c.nbytes + len(c) * out.nbytes <= budget for c in stacked)
+    # a map whose one-sample pair overruns the budget is probed one copy at a time
+    assert bool(stacked) == (2 * (x.nbytes // len(x) + out.nbytes) <= budget)
+    # the second map's pair overruns it; the third stacks only as one-sample
+    # pairs, since two copies of its whole x overrun it too
+    assert bool(stacked) == (shape != (4, 8, 32, 32))
+    assert (2 * x.nbytes <= budget) == (shape == (4, 8, 8, 8))
     assert rep == _reference_check("pool_sum", x, seed=9, probes=20)[0]
+
+
+@pytest.mark.parametrize("op_id", [op_id for op_id, op in gradcheck._OPS.items()
+                                   if op.sample_axis])
+@pytest.mark.parametrize("cycle", range(3))
+def test_each_op_acts_sample_by_sample(op_id, cycle):
+    # the rig's one-sample probe copies rest on this, under every suite
+    # window: a stack of sample rows gives those samples' rows of the whole
+    # forward.  Stacks hold two or more rows, as the rig's ±h pairs do: a
+    # lone row can take another BLAS path (a 1-row matmul runs as gemv).
+    op = gradcheck._OPS[op_id]
+    rng = np.random.default_rng((31, cycle))
+    arrays, context = op.setup(op.suite_input(rng), rng, op.suite_params(cycle))
+    whole = np.asarray(op.forward(*op.args(arrays, context)))
+    picks = [[s, s] for s in range(len(whole))]
+    picks += [[1, 0], rng.integers(0, len(whole), size=74)]
+    for rows in picks:
+        part = list(arrays)
+        for j in op.sample_axis:
+            part[j] = arrays[j][rows]
+        assert np.array_equal(np.asarray(op.forward(*op.args(part, context))),
+                              whole[rows])
+
+
+def _sequential_replay(ups, downs, base, analytics, want, total, h):
+    """The sweep's coordinate selection, one coordinate at a time."""
+    max_rel = max_abs = 0.0
+    checked = resampled = pos = 0
+    while checked < want and pos < total:
+        up, down, analytic = ups[pos], downs[pos], analytics[pos]
+        pos += 1
+        fwd, bwd = (up - base) / h, (base - down) / h
+        if (abs(fwd - bwd) > 1e-2 * max(1.0, abs(fwd), abs(bwd))
+                and resampled < 10 and pos < total):
+            resampled += 1
+            continue
+        numeric = (up - down) / (2.0 * h)
+        abs_err = abs(analytic - numeric)
+        max_rel = max(max_rel, abs_err / max(abs(analytic), abs(numeric), 1e-12))
+        max_abs = max(max_abs, abs_err)
+        checked += 1
+    return max_rel, max_abs, checked, resampled
+
+
+@pytest.mark.parametrize("shape, probes, kink_rate", [
+    ((1, 1, 3, 3), 3, 0.5), ((1, 1, 3, 3), 20, 0.5), ((1, 1, 3, 3), 20, 1.0),
+    ((1, 2, 6, 6), 30, 0.2), ((1, 2, 6, 6), 30, 0.6), ((1, 2, 6, 6), 100, 0.3),
+])
+def test_replay_matches_a_sequential_sweep_over_kinked_losses(monkeypatch, shape,
+                                                              probes, kink_rate):
+    # kinks land before, between and after the checked coordinates, and on
+    # the last one, which is never skipped
+    x = np.random.default_rng(13).standard_normal(shape)
+    expected = []
+
+    def kinked_losses(op, arrays, context, proj, out, planes, coords, h):
+        r = np.random.default_rng(len(coords))
+        slope = r.standard_normal(len(coords))
+        kink = np.where(r.random(len(coords)) < kink_rate, 5.0, 0.0)
+        base = float(np.sum(proj * out))
+        ups, downs = base + h * slope, base - h * (slope + kink)
+        grads = backward("gap", op.args(arrays, context), proj)[0].ravel()
+        expected.append(_sequential_replay(
+            ups.tolist(), downs.tolist(), base, grads[coords].tolist(),
+            min(probes, x.size), x.size, h))
+        return ups, downs
+
+    monkeypatch.setattr(gradcheck, "_probe_losses", kinked_losses)
+    rep = finite_diff_check("gap", x, seed=13, probes=probes)
+    assert [(rep.max_rel_error, rep.max_abs_error, rep.probe_count,
+             rep.resampled)] == expected
 
 
 def test_kinked_sweep_spends_every_resample_like_the_reference():

@@ -419,6 +419,15 @@ def test_blur_preserves_constant_maps():
     assert np.allclose(blur_binomial5(x), x, rtol=0, atol=1e-12)
 
 
+def test_reflect_index_is_shared_and_read_only():
+    # the blur and its adjoint share one cached index per axis length
+    index = lacunarity._reflect_index(5)
+    assert index is lacunarity._reflect_index(5)
+    assert index.tolist() == [2, 1, 0, 1, 2, 3, 4, 3, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        index[0] = 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        h=st.integers(1, 8), w=st.integers(1, 8))

@@ -65,7 +65,8 @@ def test_feature_file_errors(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads RSS from /proc/self/status")
 def test_feature_file_read_peaks_near_its_payload(tmp_path):
-    # a whole-file read, its payload slice and a dtype copy would hold ~3x it
+    # a whole-file read, its payload slice and a dtype copy would hold ~3x it,
+    # and a payload-sized finiteness mask another eighth of it
     dims = (5, 1, 1000, 1000)
     payload = 8 * math.prod(dims)
     path = tmp_path / "big.bin"
@@ -86,7 +87,7 @@ def test_feature_file_read_peaks_near_its_payload(tmp_path):
     run = subprocess.run([sys.executable, "-c", script, str(path)],
                          capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert int(run.stdout) * 1024 < 1.5 * payload
+    assert int(run.stdout) * 1024 < 1.1 * payload
 
 
 def _lacf(dims, payload=b""):
