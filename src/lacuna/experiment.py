@@ -1,8 +1,10 @@
 """Experiment configuration, runner, and deterministic results files.
 
 An experiment compares pooling methods on a synthetic texture dataset.  Per
-seed it generates the dataset and runs the frozen backbone over it once; the
-feature tensor is then shared by every method, so the comparison is paired.
+seed it draws the dataset and runs the frozen backbone over it once, one
+backbone block of images at a time, into one feature tensor; that tensor is
+then shared by every method, so the comparison is paired, and dropped
+before the next seed's is built.
 Per seed it builds one fusion head per method over those features, trains
 them in lockstep (`train_heads`), and scores each head's test rows once
 through the head function training used (`FusionModel.head`): its logits
@@ -26,7 +28,7 @@ import numpy as np
 
 from .lacunarity import LacunarityConfig
 from .metrics import fisher_discriminant_ratio, summarize_log_fdr
-from .model import FrozenBackbone, FusionModel
+from .model import FrozenBackbone, FusionModel, _backbone_block
 from .textures import heterogeneity_dataset, toy_dataset
 from .train import EvalReport, TrainConfig, confusion_report, train_heads
 
@@ -157,11 +159,14 @@ def pooling_for(cfg: ExperimentConfig, method: str) -> LacunarityConfig | str:
     return LacunarityConfig(method="multiscale", scales=cfg.scales)
 
 
-def _dataset(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _dataset(cfg: ExperimentConfig, seed: int, start: int, stop: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Images and labels of the rows [start, stop) of a seed's dataset."""
     if cfg.dataset == "toy":
         return toy_dataset(cfg.classes, cfg.samples_per_class,
-                           cfg.image_size, seed)
-    return heterogeneity_dataset(cfg.samples_per_class, cfg.image_size, seed)
+                           cfg.image_size, seed, start, stop)
+    return heterogeneity_dataset(cfg.samples_per_class, cfg.image_size, seed,
+                                 start, stop)
 
 
 def active_seeds(cfg: ExperimentConfig) -> tuple[int, ...]:
@@ -176,9 +181,23 @@ def active_seeds(cfg: ExperimentConfig) -> tuple[int, ...]:
 
 
 def _features(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    images, labels = _dataset(cfg, seed)
+    """A seed's feature tensor and labels, one backbone block at a time.
+
+    Each block of images is drawn, run through the backbone into its rows of
+    the one feature tensor, and dropped, so the images never all exist at
+    once; rows depend only on (seed, row), so the tensor is the same as from
+    the whole image set.
+    """
     backbone = FrozenBackbone.make(seed=seed, channels=cfg.backbone_channels)
-    return backbone.features(images), labels
+    n, size = cfg.classes * cfg.samples_per_class, cfg.image_size
+    feats = np.empty(backbone.feature_shape(n, size, size))
+    labels = np.empty(n, dtype=np.int64)
+    step = _backbone_block(size, size)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        images, labels[start:stop] = _dataset(cfg, seed, start, stop)
+        backbone.features(images, out=feats[start:stop])
+    return feats, labels
 
 
 def _score(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
@@ -211,6 +230,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             fdrs[i].append(log_fdr)
             epochs[i].append(result.history.epochs())
             confusions[i] += report.confusion
+        del feats  # hold one seed's features at a time
     summaries = []
     for i, (method, model) in enumerate(zip(cfg.methods, models)):
         acc_arr = np.array(accs[i])

@@ -1,10 +1,11 @@
 """Frozen feature extractor and the fusion head over its feature maps.
 
 A frozen backbone (a small fixed-seed stride-2 convolution stack) turns
-images into feature maps once.  Everything after that takes the feature
-tensor.  The fusion head reduces it once, to the spatial means of its
-pooling branch's S scale planes (a lacunarity operator; S = 1 for base and
-the avg/max/l2 baselines) and of the features themselves (GAP).  One head
+images into feature maps once, a block of images at a time.  Everything
+after that takes the feature tensor.  The fusion head reduces it once, to
+the spatial means of its pooling branch's S scale planes (a lacunarity
+operator; S = 1 for base and the avg/max/l2 baselines), built a block of
+samples at a time, and of the features themselves (GAP).  One head
 function, which training runs over a stack of heads, then mixes the scales,
 multiplies the two branches per channel and applies a linear classifier.
 Only the scale mix (when the branch has one) and the classifier train.
@@ -123,6 +124,15 @@ def read_label_sidecar(path: str) -> np.ndarray:
 # input pixels per backbone block: 16 images of 56 px, whose first-layer
 # input and output (about 1.2 MB of float64) stay near L2-sized
 _BLOCK_PIXELS = 16 * 56 * 56
+# feature cells per pooling block: 32 samples of 16 channels at 7x7 (200 KB
+# of float64), whose box-counting temporaries peak near 1.5 MB; blocks of
+# 32 to 300 such samples pool in times within 20 % of one another
+_BLOCK_CELLS = 32 * 16 * 7 * 7
+
+
+def _backbone_block(height: int, width: int) -> int:
+    """Images of height x width pixels per backbone block, at least one."""
+    return max(1, _BLOCK_PIXELS // (height * width))
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
@@ -175,21 +185,37 @@ class FrozenBackbone:
     def out_channels(self) -> int:
         return self.weights[-1].shape[0]
 
-    def features(self, images: np.ndarray) -> np.ndarray:
+    def feature_shape(self, n: int, height: int, width: int
+                      ) -> tuple[int, int, int, int]:
+        """(N, C, H', W') shape of the features of n height x width images."""
+        for w in self.weights:
+            height, width = PoolSpec(*w.shape[2:], 2, 2, padding=1).out_size(
+                height, width)
+        return n, self.out_channels, height, width
+
+    def features(self, images: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Feature maps for a batch of single-channel images.
 
-        The whole conv stack runs over blocks of images (about
-        `_BLOCK_PIXELS` input pixels each, at least one image) so one
-        block's layer temporaries stay cache-sized; the blocks are then
-        concatenated.  Each image's arithmetic is independent of the block
-        it lands in, so the result equals one full-batch pass bit for bit.
+        The whole conv stack runs over blocks of `_backbone_block` images
+        (about `_BLOCK_PIXELS` input pixels each) so one block's layer
+        temporaries stay cache-sized, and each block is written into `out`
+        (allocated when not given; it must have `feature_shape`), which is
+        returned.  Each image's arithmetic is independent of the block it
+        lands in, so the result equals one full-batch pass bit for bit.
         """
         x = as_feature_map(images, "images")
         if x.shape[1] != 1:
             raise ShapeMismatchError("backbone expects single-channel images")
-        step = max(1, _BLOCK_PIXELS // (x.shape[2] * x.shape[3]))
-        return np.concatenate([self._conv_stack(x[i:i + step])
-                               for i in range(0, len(x), step)])
+        shape = self.feature_shape(x.shape[0], *x.shape[2:])
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ShapeMismatchError(f"feature output {out.shape}, need {shape}")
+        step = _backbone_block(*x.shape[2:])
+        for i in range(0, len(x), step):
+            out[i:i + step] = self._conv_stack(x[i:i + step])
+        return out
 
     def _conv_stack(self, x: np.ndarray) -> np.ndarray:
         x = x / 255.0
@@ -268,7 +294,8 @@ def _head(pooled, gapped, classifier_w, classifier_b, *mix):
     else:
         lac = pooled[..., 0]
     fused = lac * gapped
-    logits = (np.matmul(fused, classifier_w.transpose(0, 2, 1))
+    # einsum's own loop, not BLAS: a row's logits do not depend on its batch
+    logits = (np.einsum("mnc,mkc->mnk", fused, classifier_w)
               + classifier_b[:, None])
     return logits, fused
 
@@ -298,11 +325,9 @@ class FusionModel:
         if self.classifier_b.shape != self.classifier_w.shape[:1]:
             raise ShapeMismatchError(f"classifier bias {self.classifier_b.shape} "
                                      f"for weights {self.classifier_w.shape}")
-        scales = 1 if isinstance(self.pooling, str) else self.pooling.scale_count
-        if self.mix is not None and self.mix.scales != scales:
-            raise ShapeMismatchError(
-                f"mix carries {self.mix.scales} scale slots, branch makes {scales}"
-            )
+        if self.mix is not None and self.mix.scales != self.scale_count:
+            raise ShapeMismatchError(f"mix carries {self.mix.scales} scale "
+                                     f"slots, branch makes {self.scale_count}")
 
     @classmethod
     def build(cls, channels: int, pooling: LacunarityConfig | str,
@@ -318,6 +343,11 @@ class FusionModel:
             mix = GroupedMixWeights.uniform(channels, pooling.scale_count)
         return cls(pooling=pooling, classifier_w=w, classifier_b=b, mix=mix)
 
+    @property
+    def scale_count(self) -> int:
+        """Scale planes S per channel of the pooling branch."""
+        return 1 if isinstance(self.pooling, str) else self.pooling.scale_count
+
     def trainable_param_count(self) -> int:
         mix = 0 if self.mix is None else self.mix.param_count()
         return self.classifier_w.size + self.classifier_b.size + mix
@@ -332,8 +362,24 @@ class FusionModel:
         return scale_planes(feats, self.pooling)
 
     def pooled(self, feats: np.ndarray) -> np.ndarray:
-        """(N, C, S) scale planes averaged over space: the head's input."""
-        return gap(self.scale_planes(feats)).reshape(*feats.shape[:2], -1)
+        """(N, C, S) scale planes averaged over space: the head's input.
+
+        The planes are built over blocks of samples (about `_BLOCK_CELLS`
+        feature cells each, at least one sample) and each block's spatial
+        means written into the one output, so the planes' temporaries never
+        hold more than one block.  Every stage acts sample by sample, so the
+        result equals one whole-batch pass bit for bit.
+        """
+        feats = np.asarray(feats)
+        if feats.ndim != 4 or feats.size == 0:
+            as_feature_map(feats, "features")  # raises the shape error
+        n, c = feats.shape[:2]
+        out = np.empty((n, c, self.scale_count))
+        step = max(1, _BLOCK_CELLS // math.prod(feats.shape[1:]))
+        for i in range(0, n, step):
+            out[i:i + step] = gap(self.scale_planes(feats[i:i + step])).reshape(
+                -1, c, self.scale_count)
+        return out
 
     def head(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, K) logits and their (N, C) classifier input, from one pass."""

@@ -207,36 +207,60 @@ def generate_texture(grade: str, size: int = 56, seed: int = 0) -> TextureSample
     return TextureSample(image=image, label=label, grade=grade, seed=seed)
 
 
+def _rows(n_per_class: int, classes: int, start: int, stop: int | None,
+          size: int, seed: int, draw) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [start, stop) of a class-major dataset, drawn into one array.
+
+    Row j is sample i = j % n_per_class of class k = j // n_per_class: the
+    (size, size) image `draw(k, rng)` from its own generator seeded
+    [seed, k, i].  A row depends only on (seed, j), so any row range gives
+    the same bits as the matching slice of the whole set.
+    """
+    total = classes * n_per_class
+    stop = total if stop is None else stop
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"rows [{start}, {stop}) outside a set of {total}")
+    images = np.empty((stop - start, 1, size, size))
+    for row, j in enumerate(range(start, stop)):
+        k, i = divmod(j, n_per_class)
+        images[row, 0] = draw(k, np.random.default_rng([seed, k, i]))
+    return images, np.arange(start, stop, dtype=np.int64) // n_per_class
+
+
 def heterogeneity_dataset(
-    n_per_class: int, size: int = 56, seed: int = 0
+    n_per_class: int, size: int = 56, seed: int = 0, start: int = 0,
+    stop: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Three arrangement classes with *identical* gap pixel counts.
 
     First-order statistics match exactly across classes, so only the spatial
     gap structure carries label information.  Returns images (N, 1, H, W)
-    and integer labels (class k = ARRANGEMENTS[k]).
+    and integer labels (class k = ARRANGEMENTS[k]), class-major; `start` and
+    `stop` restrict both to the rows [start, stop) of the whole set, with the
+    same bits as slicing it.
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    images = [_draw(_PAINTERS[name], size, GRADE_GAP_FRACTION["medium"],
-                    np.random.default_rng([seed, k, i]))[None]
-              for k, name in enumerate(ARRANGEMENTS) for i in range(n_per_class)]
-    labels = np.arange(len(ARRANGEMENTS), dtype=np.int64)
-    return np.stack(images), np.repeat(labels, n_per_class)
+    frac = GRADE_GAP_FRACTION["medium"]
+    return _rows(n_per_class, len(ARRANGEMENTS), start, stop, size, seed,
+                 lambda k, rng: _draw(_PAINTERS[ARRANGEMENTS[k]], size, frac,
+                                      rng))
 
 
 def toy_dataset(
-    classes: int = 3, n_per_class: int = 10, size: int = 56, seed: int = 0
+    classes: int = 3, n_per_class: int = 10, size: int = 56, seed: int = 0,
+    start: int = 0, stop: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trivially separable set: classes differ in gap fraction (0.05..0.65).
 
     Any pooled first-order statistic splits these, so simple baselines reach
-    full accuracy.  Returns images (N, 1, H, W) and labels.
+    full accuracy.  Returns images (N, 1, H, W) and labels, class-major;
+    `start` and `stop` pick rows as for `heterogeneity_dataset`.
     """
     if classes < 2:
         raise ValueError("classes must be >= 2")
-    images = [_draw(_jitter_mask, size, 0.05 + 0.60 * k / (classes - 1),
-                    np.random.default_rng([seed, k, i]))[None]
-              for k in range(classes) for i in range(n_per_class)]
-    labels = np.arange(classes, dtype=np.int64)
-    return np.stack(images), np.repeat(labels, n_per_class)
+    if n_per_class < 1:
+        raise ValueError("n_per_class must be >= 1")
+    return _rows(n_per_class, classes, start, stop, size, seed,
+                 lambda k, rng: _draw(_jitter_mask, size,
+                                      0.05 + 0.60 * k / (classes - 1), rng))

@@ -3,7 +3,10 @@
 `train` and `evaluate` take the frozen backbone's feature tensor (or features
 read from a file), never images.  Training validates the features and
 reduces them once, to the (N, C) GAP branch plus each head's (N, C, S)
-`FusionModel.pooled` vectors.  A step then runs on those per-sample vectors:
+`FusionModel.pooled` vectors, written straight into one stacked array;
+`pooled` builds the scale planes a block of samples at a time, so training
+holds the planes of one block, never of all N samples.  A step then runs on
+those per-sample vectors:
 the model's head function (mix, fusion product and classifier, the one
 `FusionModel.forward` and so `evaluate` use), one softmax shared by loss and
 gradient, and hand-written gradients, with no 4-D tensor ops; adaptive
@@ -199,16 +202,15 @@ class _HeadState:
         self.labels = _checked_labels(labels, shape[0])
         self.onehot = np.eye(shape[0])[self.labels]
         self.gapped = gap(feats)[:, :, 0, 0]
-        pooled = [model.pooled(feats) for model in models]
         m, (n, c) = len(models), self.gapped.shape
-        s_max = max(p.shape[2] for p in pooled)
+        s_max = max(model.scale_count for model in models)
         self.pooled = np.zeros((m, n, c, s_max))
         weights, bias = np.zeros((m, c, s_max)), np.zeros((m, c))
         self.trainable = {"mix_bias": np.zeros_like(bias),
                           "mix_weights": np.zeros_like(weights)}
         for i, model in enumerate(models):
-            s = pooled[i].shape[2]
-            self.pooled[i, :, :, :s] = pooled[i]
+            s = model.scale_count
+            self.pooled[i, :, :, :s] = model.pooled(feats)
             if model.mix is None:
                 weights[i, :, 0] = 1.0
                 continue

@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from _memory import PEAK_SLACK, traced_peak
 
+from lacuna import cli
 from lacuna.experiment import (
     DATASETS,
     METHODS,
     SEED_ENV,
     ExperimentConfig,
     ExperimentConfigError,
+    _features,
     active_seeds,
     format_results,
     load_config,
@@ -16,6 +21,7 @@ from lacuna.experiment import (
 )
 from lacuna.lacunarity import LacunarityConfig
 from lacuna.model import FrozenBackbone
+from lacuna.textures import toy_dataset
 from lacuna.train import TrainConfig
 
 TOY_INI = """\
@@ -154,14 +160,68 @@ def test_run_experiment_runs_backbone_once_per_seed(tmp_path, monkeypatch):
     batches = []
     conv = FrozenBackbone.features
 
-    def counted(self, images):
-        batches.append(len(images))
-        return conv(self, images)
+    def counted(self, images, out=None):
+        batches.append(images.copy())
+        return conv(self, images, out=out)
 
     monkeypatch.setattr(FrozenBackbone, "features", counted)
     run_experiment(toy_config(tmp_path, methods=("avg", "multiscale"),
                               seeds=(0, 1)))
-    assert batches == [30, 30]  # one full-dataset pass per seed, all methods
+    # one pass over each seed's images, one backbone block (16 images of
+    # 56 px) at a time, shared by all methods
+    assert [len(b) for b in batches] == [16, 14, 16, 14]
+    for seed, blocks in ((0, batches[:2]), (1, batches[2:])):
+        images, _ = toy_dataset(3, 10, 56, seed)
+        assert np.array_equal(np.concatenate(blocks), images)
+
+
+@pytest.mark.parametrize("dataset", ["heterogeneity", "toy"])
+def test_features_peak_grows_only_with_the_feature_tensor(dataset):
+    def peak_and_kept(samples_per_class):
+        cfg = ExperimentConfig(methods=("avg",), dataset=dataset,
+                               samples_per_class=samples_per_class)
+        peak, (feats, labels) = traced_peak(lambda: _features(cfg, 0))
+        return peak, feats.nbytes + labels.nbytes
+
+    peak_and_kept(10)  # first-call caches
+    small, small_kept = peak_and_kept(10)
+    large, large_kept = peak_and_kept(40)
+    # the images and the backbone's temporaries stay one block
+    assert large - small <= large_kept - small_kept + PEAK_SLACK, (small, large)
+
+
+# the benchmark's experiment-six workload at seed pair 0, whose results file
+# perfbench/golden/experiment/pair_00.txt records
+HETEROGENEITY_PAIR_0 = """\
+[experiment]
+methods = base, dbc, multiscale, avg, max, l2
+dataset = heterogeneity
+classes = 3
+samples_per_class = 100
+image_size = 56
+seeds = 0, 1
+backbone_channels = 16
+scales = 2
+output = {out}
+
+[train]
+batch_size = 16
+learning_rate = 0.01
+max_epochs = 100
+early_stop_patience = 10
+"""
+
+
+def test_heterogeneity_experiment_matches_its_golden(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    out = tmp_path / "results.txt"
+    ini = write_ini(tmp_path, HETEROGENEITY_PAIR_0.format(out=out))
+    assert cli.main(["experiment", ini]) == 0
+    capsys.readouterr()
+    golden = (Path(__file__).parent.parent / "perfbench" / "golden"
+              / "experiment" / "pair_00.txt")
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_run_experiment_respects_seed_env(tmp_path, monkeypatch):

@@ -544,6 +544,15 @@ def test_scale_planes_dispatches_on_the_method(cfg):
     assert np.array_equal(planes, want)
 
 
+@pytest.mark.parametrize("entry, method", [
+    (dbc_scale_planes, "base"), (dbc_scale_planes, "multiscale"),
+    (multiscale_scale_planes, "base"), (multiscale_scale_planes, "dbc"),
+])
+def test_scale_plane_entries_reject_another_method(entry, method):
+    with pytest.raises(ValueError, match=f"config method is '{method}'"):
+        entry(_maps(3, n=1, c=2, h=8, w=8), LacunarityConfig(method=method))
+
+
 # ------------------------------------------------------------- config checks
 
 @pytest.mark.parametrize("kwargs", [

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from _fuzz import corrupt
+from _memory import PEAK_SLACK, traced_peak
 from _reference import ref_backbone_features
 
 import lacuna
@@ -16,6 +17,7 @@ from lacuna.model import (
     FeatureFileError,
     FrozenBackbone,
     FusionModel,
+    _head,
     linear_classifier,
     read_feature_file,
     read_label_sidecar,
@@ -260,6 +262,17 @@ def test_backbone_rejects_multichannel_images():
         bb.features(np.zeros((1, 3, 56, 56)))
 
 
+def test_backbone_writes_into_a_given_output():
+    images = np.random.default_rng(4).uniform(0, 255, size=(20, 1, 40, 40))
+    bb = FrozenBackbone.make(seed=1, channels=3)
+    assert bb.feature_shape(20, 40, 40) == (20, 3, 5, 5)
+    out = np.full(bb.feature_shape(20, 40, 40), np.nan)
+    assert bb.features(images, out=out) is out
+    assert np.array_equal(out, ref_backbone_features(bb.weights, bb.biases, images))
+    with pytest.raises(ShapeMismatchError):
+        bb.features(images, out=np.empty((19, 3, 5, 5)))
+
+
 # --------------------------------------------------------------------- head
 
 def test_linear_classifier_matches_matmul():
@@ -288,6 +301,80 @@ def test_softmax_cross_entropy_is_shift_stable():
         softmax_cross_entropy(logits, labels))
     with pytest.raises(ValueError):
         softmax_cross_entropy(logits, np.array([0, 1, 2, 3, 0, 1]))
+
+
+def misaligned(a):
+    """A copy of `a` whose data starts one float64 into its buffer."""
+    out = np.empty(a.size + 1)[1:].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+@pytest.mark.parametrize("channels", [16, 512, 2208])
+def test_head_rows_do_not_depend_on_their_batch(channels):
+    rng = np.random.default_rng(channels)
+    n, k, s = 40, 3, 2
+    pooled = rng.uniform(0.0, 2.0, size=(1, n, channels, s))
+    gapped = rng.uniform(0.0, 2.0, size=(n, channels))
+    w, b = rng.standard_normal((1, k, channels)), rng.standard_normal((1, k))
+    mix = rng.standard_normal((1, channels, s)), rng.standard_normal((1, channels))
+    logits, fused = _head(pooled, gapped, w, b, *mix)
+    for width in (1, 2):
+        for i in range(n - width + 1):
+            rows = slice(i, i + width)
+            # the rows as views of the batch and as copies at another alignment
+            for part in ((pooled[:, rows], gapped[rows]),
+                         (misaligned(pooled[:, rows]), misaligned(gapped[rows]))):
+                part_logits, part_fused = _head(*part, w, b, *mix)
+                assert np.array_equal(part_logits, logits[:, rows]), (width, i)
+                assert np.array_equal(part_fused, fused[:, rows]), (width, i)
+
+
+SELECTORS = {
+    "base": LacunarityConfig(method="base"),
+    "dbc": LacunarityConfig(method="dbc"),
+    "multiscale": LacunarityConfig(method="multiscale", scales=2),
+    "avg": "avg", "max": "max", "l2": "l2",
+}
+
+
+def relu_feats(n, c=16, seed=0):
+    """Backbone-like features: half the values exactly 0, as after a ReLU."""
+    rng = np.random.default_rng(seed)
+    return np.maximum(rng.standard_normal((n, c, 7, 7)), 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(SELECTORS))
+def test_pooled_blocks_equal_one_whole_batch_pass(name):
+    # 75 samples of 16 x 7 x 7: two full pooling blocks and a partial one
+    feats = relu_feats(75)
+    model = FusionModel.build(16, SELECTORS[name], num_classes=3, seed=0)
+    whole = gap(model.scale_planes(feats)).reshape(75, 16, -1)
+    pooled = model.pooled(feats)
+    assert pooled.shape == (75, 16, model.scale_count)
+    assert np.array_equal(pooled, whole)
+
+
+@pytest.mark.parametrize("name", sorted(SELECTORS))
+def test_pooled_peak_grows_only_with_its_output(name):
+    feats = relu_feats(480)
+    model = FusionModel.build(16, SELECTORS[name], num_classes=3, seed=0)
+    model.pooled(feats[:2])  # first-call caches
+    small, _ = traced_peak(lambda: model.pooled(feats[:48]))
+    large, _ = traced_peak(lambda: model.pooled(feats))
+    grown_output = (480 - 48) * 16 * model.scale_count * 8
+    assert large - small <= grown_output + PEAK_SLACK, (small, large)
+
+
+def test_pooled_rejects_malformed_features():
+    model = FusionModel.build(4, "avg", num_classes=2, seed=0)
+    for bad in (np.zeros((0, 4, 7, 7)), np.zeros((4, 7, 7)), np.zeros(3)):
+        with pytest.raises(ShapeMismatchError):
+            model.pooled(bad)
+    nan = relu_feats(40, c=4)
+    nan[37, 1, 2, 3] = np.nan  # in the last block
+    with pytest.raises(ValueError, match="NaN"):
+        model.pooled(nan)
 
 
 # ------------------------------------------------------------- fusion model

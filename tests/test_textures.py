@@ -160,6 +160,28 @@ def test_toy_dataset_varies_gap_fraction():
         toy_dataset(classes=1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda **rows: heterogeneity_dataset(5, size=40, seed=2, **rows),
+    lambda **rows: toy_dataset(4, 3, size=32, seed=6, **rows),
+], ids=["heterogeneity", "toy"])
+def test_dataset_row_ranges_are_slices_of_the_whole_set(build):
+    images, labels = build()
+    n = len(labels)
+    for start, stop in ((0, n), (0, 1), (3, 8), (n - 1, n), (4, 4)):
+        part, part_labels = build(start=start, stop=stop)
+        assert np.array_equal(part, images[start:stop])
+        assert np.array_equal(part_labels, labels[start:stop])
+        assert part_labels.dtype == np.int64
+    for start, stop in ((-1, 2), (3, 2), (0, n + 1)):
+        with pytest.raises(ValueError, match="outside a set"):
+            build(start=start, stop=stop)
+
+
+def test_toy_dataset_needs_a_sample_per_class():
+    with pytest.raises(ValueError, match="n_per_class"):
+        toy_dataset(classes=2, n_per_class=0)
+
+
 # ------------------------------------------------ painters vs loop oracles
 
 _REF_PAINTERS = {"lattice": ref_lattice_mask, "jitter": ref_jitter_mask,
