@@ -13,7 +13,6 @@ from .tensor import (
     as_feature_map,
     elementwise_mul,
     gap,
-    global_spec,
     mix_scales,
     pool_avg,
     pool_l2,
@@ -56,7 +55,6 @@ from .model import (
     linear_classifier,
     read_feature_file,
     read_label_sidecar,
-    softmax,
     softmax_cross_entropy,
     write_feature_file,
 )

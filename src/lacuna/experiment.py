@@ -13,14 +13,13 @@ report.  Results serialize to a fixed-format text file: rerunning the
 same config writes byte-identical bytes.
 
 Configs are INI files (configparser) with an [experiment] section and an
-optional [train] section; see configs/heterogeneity.ini.  The LACUNA_SEED
-environment variable, when set, replaces the configured seed list.
+optional [train] section; see configs/heterogeneity.ini.  A run reads its
+seeds from the config alone, never from the environment.
 """
 
 from __future__ import annotations
 
 import configparser
-import os
 import re
 from dataclasses import dataclass, field, replace
 
@@ -34,7 +33,6 @@ from .train import EvalReport, TrainConfig, confusion_report, train_heads
 
 METHODS = ("base", "dbc", "multiscale", "avg", "max", "l2")
 DATASETS = ("heterogeneity", "toy")
-SEED_ENV = "LACUNA_SEED"
 
 
 class ExperimentConfigError(ValueError):
@@ -169,17 +167,6 @@ def _dataset(cfg: ExperimentConfig, seed: int, start: int, stop: int
                                  start, stop)
 
 
-def active_seeds(cfg: ExperimentConfig) -> tuple[int, ...]:
-    """Config seeds, unless LACUNA_SEED pins a single run."""
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return cfg.seeds
-    try:
-        return (int(raw),)
-    except ValueError as exc:
-        raise ExperimentConfigError(f"{SEED_ENV}={raw!r} is not an integer") from exc
-
-
 def _features(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """A seed's feature tensor and labels, one backbone block at a time.
 
@@ -196,7 +183,7 @@ def _features(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]
     for start in range(0, n, step):
         stop = min(start + step, n)
         images, labels[start:stop] = _dataset(cfg, seed, start, stop)
-        backbone.features(images, out=feats[start:stop])
+        feats[start:stop] = backbone.features(images)
     return feats, labels
 
 
@@ -211,12 +198,11 @@ def _score(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    seeds = active_seeds(cfg)
     n = len(cfg.methods)
     accs, fdrs, epochs = ([[] for _ in range(n)] for _ in range(3))
     confusions = [np.zeros((cfg.classes, cfg.classes), dtype=np.int64)
                   for _ in range(n)]
-    for seed in seeds:
+    for seed in cfg.seeds:
         feats, labels = _features(cfg, seed)
         models = [FusionModel.build(cfg.backbone_channels,
                                     pooling_for(cfg, method), cfg.classes,
@@ -244,7 +230,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             trainable_params=model.trainable_param_count(),
             mix_params=model.mix.param_count() if model.mix is not None else 0,
         ))
-    return ExperimentResult(config=cfg, seeds=seeds, summaries=tuple(summaries))
+    return ExperimentResult(config=cfg, seeds=cfg.seeds,
+                            summaries=tuple(summaries))
 
 
 # -------------------------------------------------------------- results files
@@ -280,8 +267,9 @@ def format_results(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_results(result: ExperimentResult, path: str | None = None) -> str:
-    path = path if path is not None else result.config.output
+def write_results(result: ExperimentResult) -> str:
+    """Write the report to the config's output path and return that path."""
+    path = result.config.output
     with open(path, "w", newline="\n") as fh:
         fh.write(format_results(result))
     return path

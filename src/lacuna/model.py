@@ -34,7 +34,6 @@ from .tensor import (
     _window_cells,
     as_feature_map,
     gap,
-    global_spec,
     pool_avg,
     pool_l2,
     pool_max,
@@ -158,9 +157,8 @@ class FrozenBackbone:
     through it.
     """
 
-    weights: tuple[np.ndarray, ...] = ()
-    biases: tuple[np.ndarray, ...] = ()
-    seed: int = 0
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         for arr in (*self.weights, *self.biases):
@@ -179,7 +177,7 @@ class FrozenBackbone:
             weights.append(rng.standard_normal((c_out, c_in, 3, 3))
                            * np.sqrt(2.0 / fan_in))
             biases.append(np.zeros(c_out))
-        return cls(weights=tuple(weights), biases=tuple(biases), seed=seed)
+        return cls(weights=tuple(weights), biases=tuple(biases))
 
     @property
     def out_channels(self) -> int:
@@ -193,25 +191,20 @@ class FrozenBackbone:
                 height, width)
         return n, self.out_channels, height, width
 
-    def features(self, images: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-        """Feature maps for a batch of single-channel images.
+    def features(self, images: np.ndarray) -> np.ndarray:
+        """Feature maps, of `feature_shape`, for a batch of single-channel images.
 
         The whole conv stack runs over blocks of `_backbone_block` images
         (about `_BLOCK_PIXELS` input pixels each) so one block's layer
-        temporaries stay cache-sized, and each block is written into `out`
-        (allocated when not given; it must have `feature_shape`), which is
-        returned.  Each image's arithmetic is independent of the block it
-        lands in, so the result equals one full-batch pass bit for bit.
+        temporaries stay cache-sized, and each block is written into the
+        one output array.  Each image's arithmetic is independent of the
+        block it lands in, so the result equals one full-batch pass bit for
+        bit.
         """
         x = as_feature_map(images, "images")
         if x.shape[1] != 1:
             raise ShapeMismatchError("backbone expects single-channel images")
-        shape = self.feature_shape(x.shape[0], *x.shape[2:])
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape:
-            raise ShapeMismatchError(f"feature output {out.shape}, need {shape}")
+        out = np.empty(self.feature_shape(x.shape[0], *x.shape[2:]))
         step = _backbone_block(*x.shape[2:])
         for i in range(0, len(x), step):
             out[i:i + step] = self._conv_stack(x[i:i + step])
@@ -245,12 +238,6 @@ def linear_classifier(x: np.ndarray, weights: np.ndarray,
     if bias.shape != (weights.shape[0],):
         raise ShapeMismatchError(f"classifier bias shape {bias.shape}")
     return x @ weights.T + bias
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -358,7 +345,7 @@ class FusionModel:
         """Mix-independent (N, C*S, H', W') branch planes; S = 1 unless it mixes."""
         if isinstance(self.pooling, str):
             op = {"avg": pool_avg, "max": pool_max, "l2": pool_l2}[self.pooling]
-            return op(feats, global_spec(feats))
+            return op(feats, PoolSpec.global_window(feats.shape[2], feats.shape[3]))
         return scale_planes(feats, self.pooling)
 
     def pooled(self, feats: np.ndarray) -> np.ndarray:

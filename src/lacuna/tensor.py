@@ -279,12 +279,7 @@ def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
-def global_spec(x: np.ndarray) -> PoolSpec:
-    """PoolSpec whose single window covers all of x's spatial extent."""
-    return PoolSpec.global_window(x.shape[2], x.shape[3])
-
-
 def gap(x: np.ndarray) -> np.ndarray:
     """Global average pool: (N, C, H, W) -> (N, C, 1, 1)."""
     x = as_feature_map(x)
-    return pool_avg(x, global_spec(x))
+    return pool_avg(x, PoolSpec.global_window(x.shape[2], x.shape[3]))

@@ -10,10 +10,11 @@ those per-sample vectors:
 the model's head function (mix, fusion product and classifier, the one
 `FusionModel.forward` and so `evaluate` use), one softmax shared by loss and
 gradient, and hand-written gradients, with no 4-D tensor ops; adaptive
-moment estimation then updates the trainable arrays.  Batches follow a
-seeded permutation, and early stopping watches validation loss with the
-best-validation weights restored at the end and written into the model's
-own arrays.
+moment estimation, at Kingma & Ba's published constants, then updates the
+one flat array that holds every trainable value.  The train/val/test split
+is a fixed 70/10/20 per class, batches follow a seeded permutation, and
+early stopping watches validation loss with the best-validation weights
+restored at the end and written into the model's own arrays.
 
 Heads that share features, labels and seed also share the split and the
 batch order, so `train_heads` trains them in lockstep on one stacked state
@@ -30,6 +31,10 @@ import numpy as np
 
 from .model import FusionModel, _cross_entropy, _head
 from .tensor import as_feature_map, gap
+
+
+SPLIT = (0.7, 0.1, 0.2)  # train/val/test shares of each class
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's, as Kingma & Ba (2015) publish
 
 
 class EmptySplitError(ValueError):
@@ -49,9 +54,6 @@ class TrainConfig:
     max_epochs: int = 100
     early_stop_patience: int = 10
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_opt: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -62,35 +64,28 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if not 0 <= self.early_stop_patience < self.max_epochs:
             raise ValueError("early_stop_patience must sit below max_epochs")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("moment decays must lie in [0, 1)")
-        if not 0 < self.eps_opt < np.inf:
-            raise ValueError("eps_opt must be finite and > 0")
 
 
-def split_indices(labels: np.ndarray, seed: int,
-                  fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
+def split_indices(labels: np.ndarray, seed: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stratified train/val/test index split, deterministic in the seed.
 
-    Per class the shuffled indices give test and val their rounded shares
-    (at least one sample each) and train the rest; raises when any class
-    cannot give train at least one sample.
+    Per class the shuffled indices give test and val their rounded
+    `SPLIT` shares (at least one sample each) and train the rest; raises
+    when any class cannot give train at least one sample.
     """
     labels = np.asarray(labels)
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
     rng = np.random.default_rng(seed)
     train, val, test = [], [], []
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(len(idx))]
-        n_test = max(1, round(fractions[2] * len(idx)))
-        n_val = max(1, round(fractions[1] * len(idx)))
+        n_test = max(1, round(SPLIT[2] * len(idx)))
+        n_val = max(1, round(SPLIT[1] * len(idx)))
         if n_test + n_val >= len(idx):
             raise EmptySplitError(
                 f"class {cls} has {len(idx)} samples; not enough for a "
-                f"{fractions} split"
+                f"{SPLIT} split"
             )
         test.append(idx[:n_test])
         val.append(idx[n_test:n_test + n_val])
@@ -101,35 +96,25 @@ def split_indices(labels: np.ndarray, seed: int,
 
 
 class Adam:
-    """Adaptive moment estimation over a name-keyed parameter dict."""
+    """Adaptive moment estimation over one flat parameter array, in place."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, lr: float):
+        self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = np.zeros_like(params)
+        self._v = np.zeros_like(params)
 
-    def step(self, params: dict[str, np.ndarray],
-             grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        for name in sorted(params):
-            p, g = params[name], grads[name]
-            if name not in self._m:
-                self._m[name] = np.zeros_like(p)
-                self._v[name] = np.zeros_like(p)
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * (grad * grad)
+        m_hat = m / (1.0 - BETA1 ** self.t)
+        v_hat = v / (1.0 - BETA2 ** self.t)
+        self.params -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @dataclass
@@ -292,9 +277,7 @@ class _HeadState:
 
 
 def train_heads(models: list[FusionModel], feats: np.ndarray,
-                labels: np.ndarray, cfg: TrainConfig,
-                fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
-                ) -> list[TrainResult]:
+                labels: np.ndarray, cfg: TrainConfig) -> list[TrainResult]:
     """Fit several heads over one (N, C, H, W) feature tensor in lockstep.
 
     Every head sees the same split and batch order, and one optimizer step
@@ -312,9 +295,8 @@ def train_heads(models: list[FusionModel], feats: np.ndarray,
     or the heads differ in class or channel count.
     """
     state = _HeadState(models, feats, labels)
-    train_idx, val_idx, test_idx = split_indices(state.labels, cfg.seed,
-                                                 fractions)
-    opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_opt)
+    train_idx, val_idx, test_idx = split_indices(state.labels, cfg.seed)
+    opt = Adam(state.flat, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
 
     m = len(models)
@@ -336,7 +318,7 @@ def train_heads(models: list[FusionModel], feats: np.ndarray,
             if diverged.any():
                 raise DivergenceError(
                     f"train loss {losses[diverged][0]} at epoch {epoch}")
-            opt.step({"heads": state.flat}, {"heads": state.flat_grad})
+            opt.step(state.flat_grad)
             loss_sum += losses * len(idx)
             hit_sum += hits
             seen += len(idx)
@@ -371,14 +353,12 @@ def train_heads(models: list[FusionModel], feats: np.ndarray,
 
 
 def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
-          cfg: TrainConfig,
-          fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
-          ) -> TrainResult:
+          cfg: TrainConfig) -> TrainResult:
     """Fit the trainable head on (N, C, H, W) features; pooling stays frozen.
 
     A stack of one for `train_heads`, whose contract it shares.
     """
-    return train_heads([model], feats, labels, cfg, fractions)[0]
+    return train_heads([model], feats, labels, cfg)[0]
 
 
 def confusion_report(true: np.ndarray, preds: np.ndarray,

@@ -184,8 +184,7 @@ def test_training_smoke_multiscale_beats_averaging():
     )
 
 
-def test_experiment_results_are_byte_identical(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LACUNA_SEED", raising=False)
+def test_experiment_results_are_byte_identical(tmp_path, capsys):
     out = tmp_path / "results.txt"
     ini = tmp_path / "exp.ini"
     ini.write_text(

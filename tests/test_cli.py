@@ -157,8 +157,7 @@ def test_lacmap_bad_flag_combination_exits_1(tmp_path, texture_pgm, capsys):
 
 # ---------------------------------------------------------------- experiment
 
-def test_experiment_runs_and_writes_results(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LACUNA_SEED", raising=False)
+def test_experiment_runs_and_writes_results(tmp_path, capsys):
     out = str(tmp_path / "results.txt")
     ini = tmp_path / "exp.ini"
     ini.write_text(TOY_INI.format(out=out))
@@ -169,8 +168,7 @@ def test_experiment_runs_and_writes_results(tmp_path, capsys, monkeypatch):
         assert "[method avg]" in fh.read()
 
 
-def test_experiment_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LACUNA_SEED", raising=False)
+def test_experiment_reruns_are_byte_identical(tmp_path, capsys):
     out = tmp_path / "results.txt"
     ini = tmp_path / "exp.ini"
     ini.write_text(TOY_INI.format(out=str(out)))
@@ -212,8 +210,7 @@ def test_experiment_divergence_exits_3(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_experiment_unwritable_output_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LACUNA_SEED", raising=False)
+def test_experiment_unwritable_output_exits_1(tmp_path, capsys):
     out = str(tmp_path / "no" / "dir" / "results.txt")
     ini = tmp_path / "exp.ini"
     ini.write_text(TOY_INI.format(out=out))

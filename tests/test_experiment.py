@@ -8,11 +8,9 @@ from lacuna import cli
 from lacuna.experiment import (
     DATASETS,
     METHODS,
-    SEED_ENV,
     ExperimentConfig,
     ExperimentConfigError,
     _features,
-    active_seeds,
     format_results,
     load_config,
     pooling_for,
@@ -112,17 +110,6 @@ def test_load_config_missing_file(tmp_path):
         load_config(str(tmp_path / "absent.ini"))
 
 
-def test_seed_env_overrides(tmp_path, monkeypatch):
-    cfg = toy_config(tmp_path, seeds=(3, 4))
-    monkeypatch.delenv(SEED_ENV, raising=False)
-    assert active_seeds(cfg) == (3, 4)
-    monkeypatch.setenv(SEED_ENV, "11")
-    assert active_seeds(cfg) == (11,)
-    monkeypatch.setenv(SEED_ENV, "eleven")
-    with pytest.raises(ExperimentConfigError):
-        active_seeds(cfg)
-
-
 def test_pooling_for_mapping(tmp_path):
     cfg = toy_config(tmp_path, dilations=(1, 2), scales=3)
     assert pooling_for(cfg, "avg") == "avg"
@@ -137,8 +124,7 @@ def test_pooling_for_mapping(tmp_path):
 
 # -------------------------------------------------------------------- runner
 
-def test_run_experiment_summaries(tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV, raising=False)
+def test_run_experiment_summaries(tmp_path):
     cfg = toy_config(tmp_path, methods=("avg", "multiscale"), seeds=(0, 1))
     result = run_experiment(cfg)
     assert result.seeds == (0, 1)
@@ -156,13 +142,12 @@ def test_run_experiment_summaries(tmp_path, monkeypatch):
 
 
 def test_run_experiment_runs_backbone_once_per_seed(tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV, raising=False)
     batches = []
     conv = FrozenBackbone.features
 
-    def counted(self, images, out=None):
+    def counted(self, images):
         batches.append(images.copy())
-        return conv(self, images, out=out)
+        return conv(self, images)
 
     monkeypatch.setattr(FrozenBackbone, "features", counted)
     run_experiment(toy_config(tmp_path, methods=("avg", "multiscale"),
@@ -212,9 +197,7 @@ early_stop_patience = 10
 """
 
 
-def test_heterogeneity_experiment_matches_its_golden(tmp_path, capsys,
-                                                     monkeypatch):
-    monkeypatch.delenv(SEED_ENV, raising=False)
+def test_heterogeneity_experiment_matches_its_golden(tmp_path, capsys):
     out = tmp_path / "results.txt"
     ini = write_ini(tmp_path, HETEROGENEITY_PAIR_0.format(out=out))
     assert cli.main(["experiment", ini]) == 0
@@ -224,18 +207,19 @@ def test_heterogeneity_experiment_matches_its_golden(tmp_path, capsys,
     assert out.read_bytes() == golden.read_bytes()
 
 
-def test_run_experiment_respects_seed_env(tmp_path, monkeypatch):
-    cfg = toy_config(tmp_path, seeds=(0, 1, 2))
-    monkeypatch.setenv(SEED_ENV, "5")
+def test_run_experiment_ignores_the_seed_environment(tmp_path, monkeypatch):
+    # the config's seed list is the one seed source: a results file does not
+    # depend on the shell that wrote it
+    cfg = toy_config(tmp_path, seeds=(0, 1))
+    monkeypatch.setenv("LACUNA_SEED", "5")
     result = run_experiment(cfg)
-    assert result.seeds == (5,)
-    assert len(result.summaries[0].accuracies) == 1
+    assert result.seeds == cfg.seeds
+    assert len(result.summaries[0].accuracies) == 2
 
 
 # ------------------------------------------------------------------- results
 
-def test_format_results_is_deterministic(tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV, raising=False)
+def test_format_results_is_deterministic(tmp_path):
     cfg = toy_config(tmp_path)
     a = format_results(run_experiment(cfg))
     b = format_results(run_experiment(cfg))
@@ -246,8 +230,7 @@ def test_format_results_is_deterministic(tmp_path, monkeypatch):
     assert "confusion (rows true, columns predicted, all seeds):" in a
 
 
-def test_write_results_uses_config_output(tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV, raising=False)
+def test_write_results_uses_config_output(tmp_path):
     cfg = toy_config(tmp_path)
     result = run_experiment(cfg)
     path = write_results(result)

@@ -209,12 +209,17 @@ def test_probe_count_covers_all_coords_when_few():
 
 
 def test_report_pass_flag_tracks_tolerance():
+    # at h = 1e-3 the slope's truncation error (relative 6.6e-7) dwarfs its
+    # rounding, so the pass flag follows the tolerance
+    x = np.random.default_rng(6).uniform(-3.0, 3.0, size=(1, 1, 4, 4))
+    loose = finite_diff_check("tanh_scale", x, seed=6, h=1e-3, tol=1e-4)
+    tight = finite_diff_check("tanh_scale", x, seed=6, h=1e-3, tol=1e-8)
+    assert loose.passed and not tight.passed
+    assert loose.max_rel_error == tight.max_rel_error
+    # a linear op's slope is exact but for rounding, which passes at any tol
     x = np.random.default_rng(6).standard_normal((1, 1, 4, 4))
-    loose = finite_diff_check("pool_avg", x, seed=6, tol=1e-4)
-    tight = finite_diff_check("pool_avg", x, seed=6, tol=1e-12)
-    assert loose.passed
-    assert not tight.passed or tight.max_rel_error < 1e-12
-    assert loose.passed == (loose.max_rel_error < loose.tolerance)
+    rounding = finite_diff_check("pool_avg", x, seed=6, tol=1e-12)
+    assert rounding.passed and rounding.max_rel_error > 1e-12
 
 
 def test_sabotaged_backward_table_is_caught(monkeypatch):
@@ -257,6 +262,31 @@ def test_sabotaged_multiscale_backward_is_caught(monkeypatch):
     assert not finite_diff_check("multiscale_lacunarity", x, seed=3).passed
 
 
+def test_a_correct_slope_within_its_rounding_passes():
+    # suite seed 41 of the multiscale op: one probe's |a - n| is 2.3e-11 on
+    # a 2.2e-7 gradient, a quarter unit of the slope's rounding, so its
+    # relative error 1.08e-4 is over the tolerance
+    x = np.random.default_rng((7919, 41)).uniform(-3.0, 3.0, size=(2, 2, 6, 6))
+    cfg = LacunarityConfig(method="multiscale", scales=2,
+                           window=_MULTISCALE_WINDOWS[41 % 3])
+    rep = finite_diff_check("multiscale_lacunarity", x, seed=41, cfg=cfg)
+    assert rep.passed and rep.max_rel_error > rep.tolerance
+
+
+@pytest.mark.parametrize("op_id", CHECKED_OPS)
+def test_backward_off_by_one_part_in_a_thousand_fails(monkeypatch, op_id):
+    # the roundoff allowance leaves the check sharp: a gradient 0.1 % too
+    # large fails the op's 20 suite seeds
+    original = gradcheck.BACKWARD[op_id]
+
+    def scaled(upstream, *inputs):
+        return tuple(g * (1 + 1e-3) for g in original(upstream, *inputs))
+
+    monkeypatch.setitem(gradcheck.BACKWARD, op_id, scaled)
+    reports = run_gradient_suite(seeds=range(20))
+    assert not all(r.passed for r in reports if r.op_id == op_id)
+
+
 def test_checked_ops_keep_their_order_and_each_has_a_backward():
     assert CHECKED_OPS == (
         "tanh_scale", "pool_sum", "pool_avg", "pool_max", "base_lacunarity",
@@ -278,7 +308,20 @@ def _nan_forward(monkeypatch):
                         lambda x, spec: real(x, spec) * np.nan)
 
 
-@pytest.mark.parametrize("sabotage", [_nan_backward, _nan_forward])
+def _inf_forward(monkeypatch):
+    # one infinite output cell makes a loss infinite, and so its rounding
+    # allowance: the check must still fail on the non-finite slope
+    real = gradcheck.pool_avg
+
+    def one_inf(x, spec):
+        out = real(x, spec)
+        out.flat[0] = np.inf
+        return out
+
+    monkeypatch.setattr(gradcheck, "pool_avg", one_inf)
+
+
+@pytest.mark.parametrize("sabotage", [_nan_backward, _nan_forward, _inf_forward])
 def test_non_finite_gradient_or_slope_fails_the_check(monkeypatch, sabotage):
     sabotage(monkeypatch)
     x = np.random.default_rng(6).standard_normal((1, 1, 4, 4))
@@ -384,6 +427,7 @@ def _reference_check(op_id, x, h=1e-5, tol=1e-4, seed=0, probes=100, **params):
     order = rng.permutation(total)
     max_rel = max_abs = 0.0
     checked = resampled = pos = 0
+    passed = True
     visited = []
     while checked < want and pos < total:
         coord = order[pos]
@@ -406,11 +450,15 @@ def _reference_check(op_id, x, h=1e-5, tol=1e-4, seed=0, probes=100, **params):
             continue
         analytic = flat_grads[coord]
         abs_err = abs(analytic - numeric)
-        max_rel = max(max_rel, abs_err / max(abs(analytic), abs(numeric), 1e-12))
+        scale = max(abs(analytic), abs(numeric), 1e-12)
+        max_rel = max(max_rel, abs_err / scale)
         max_abs = max(max_abs, abs_err)
+        # relative tolerance plus 16 units of the slope's rounding
+        rounding = 16 * np.finfo(float).eps * (abs(up) + abs(down)) / (2 * h)
+        passed = passed and abs_err <= tol * scale + rounding
         checked += 1
-    report = GradCheckReport(op_id, max_rel, max_abs, checked, tol,
-                             max_rel < tol, resampled)
+    report = GradCheckReport(op_id, max_rel, max_abs, checked, tol, passed,
+                             resampled)
     return report, visited
 
 

@@ -44,12 +44,9 @@ def test_config_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=5, early_stop_patience=5)
-    with pytest.raises(ValueError):
-        TrainConfig(beta1=1.0)
-    for knobs in ({"learning_rate": math.nan}, {"learning_rate": math.inf},
-                  {"eps_opt": math.nan}, {"eps_opt": math.inf}, {"eps_opt": 0.0}):
+    for rate in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            TrainConfig(**knobs)
+            TrainConfig(learning_rate=rate)
 
 
 # ------------------------------------------------------------------- splits
@@ -86,10 +83,10 @@ def test_split_determinism_and_failure():
 
 def test_adam_first_step_size_is_lr():
     # bias correction makes the first update lr * g/(|g| + eps)
-    params = {"w": np.array([1.0, 1.0])}
-    opt = Adam(lr=0.1)
-    opt.step(params, {"w": np.array([3.0, -3.0])})
-    assert np.allclose(params["w"], [0.9, 1.1], atol=1e-7)
+    params = np.array([1.0, 1.0])
+    opt = Adam(params, lr=0.1)
+    opt.step(np.array([3.0, -3.0]))
+    assert np.allclose(params, [0.9, 1.1], atol=1e-7)
 
 
 # ----------------------------------------------------------------- training
