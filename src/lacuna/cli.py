@@ -86,6 +86,7 @@ def _cmd_lacmap(args) -> int:
     misplaced = (
         ("--stride", "--window",
          args.stride is not None and args.window is None),
+        ("--stride", "a value >= 1", args.stride is not None and args.stride < 1),
         ("--scales", "--method ms",
          args.scales is not None and args.method != "ms"),
         ("--dilations", "--method dbc",
@@ -100,7 +101,8 @@ def _cmd_lacmap(args) -> int:
     except (OSError, PgmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    x = pixels / maxval  # to [0, 1]; the operators apply the tanh scaling
+    x = pixels  # the reader's own array, scaled in place
+    x /= maxval  # to [0, 1]; the operators apply the tanh scaling
 
     try:
         window = None

@@ -143,7 +143,6 @@ class MethodSummary:
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    seeds: tuple[int, ...]
     summaries: tuple[MethodSummary, ...]
 
 
@@ -230,8 +229,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             trainable_params=model.trainable_param_count(),
             mix_params=model.mix.param_count() if model.mix is not None else 0,
         ))
-    return ExperimentResult(config=cfg, seeds=cfg.seeds,
-                            summaries=tuple(summaries))
+    return ExperimentResult(config=cfg, summaries=tuple(summaries))
 
 
 # -------------------------------------------------------------- results files
@@ -245,7 +243,7 @@ def format_results(result: ExperimentResult) -> str:
     lines.append(f"samples_per_class = {cfg.samples_per_class}")
     lines.append(f"image_size = {cfg.image_size}")
     lines.append(f"backbone_channels = {cfg.backbone_channels}")
-    lines.append(f"seeds = {', '.join(str(s) for s in result.seeds)}")
+    lines.append(f"seeds = {', '.join(str(s) for s in cfg.seeds)}")
     lines.append(f"batch_size = {cfg.train.batch_size}")
     lines.append(f"learning_rate = {cfg.train.learning_rate:g}")
     lines.append(f"max_epochs = {cfg.train.max_epochs}")
@@ -257,7 +255,7 @@ def format_results(result: ExperimentResult) -> str:
         lines.append(f"log_fdr = {s.mean_log_fdr:.6f} +/- {s.std_log_fdr:.6f}")
         lines.append(f"trainable_params = {s.trainable_params}")
         lines.append(f"mix_params = {s.mix_params}")
-        for seed, acc, fdr, ep in zip(result.seeds, s.accuracies, s.log_fdrs,
+        for seed, acc, fdr, ep in zip(cfg.seeds, s.accuracies, s.log_fdrs,
                                       s.epochs):
             lines.append(f"seed {seed}: accuracy = {acc:.6f}, "
                          f"log_fdr = {fdr:.6f}, epochs = {ep}")

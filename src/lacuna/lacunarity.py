@@ -12,6 +12,11 @@ Three ways to turn a feature map into a gappiness measure:
 
 Inputs are optionally squashed to pixel range first (:func:`tanh_scale`) so
 feature values of any magnitude land in (0, 255).
+
+Each operator allocates only its own output and a few working maps: it never
+writes into its arguments, and arithmetic on an array it allocated runs in
+place, in the order the formula gives.  The box-counting planes are written
+straight into one preallocated stack.
 """
 
 from __future__ import annotations
@@ -102,8 +107,10 @@ class LacunarityConfig:
 
 def tanh_scale(x: np.ndarray) -> np.ndarray:
     """Squash any real input into (0, 255): ((tanh(x) + 1) / 2) * 255."""
-    x = as_feature_map(x)
-    return (np.tanh(x) + 1.0) * (255.0 / 2.0)
+    out = np.tanh(as_feature_map(x))
+    out += 1.0
+    out *= 255.0 / 2.0
+    return out
 
 
 # n * max|x| below this keeps every window sum of x^2, and the square of
@@ -124,7 +131,7 @@ def variance_ratio(x: np.ndarray, spec: PoolSpec, epsilon: float) -> np.ndarray:
     square, kept above zero) so the ratio comes out finite.
     """
     x = as_feature_map(x)
-    peak = float(np.abs(x).max())
+    peak = max(float(x.max()), -float(x.min()))
     if spec.area * peak >= _SUM_LIMIT:
         shift = _SUM_LIMIT_EXP - math.frexp(peak)[1] - math.frexp(spec.area)[1]
         x = np.ldexp(x, shift)
@@ -166,7 +173,10 @@ class DbcStats:
 
 def box_index(g: np.ndarray, r: int) -> np.ndarray:
     """Index of the height-r box containing gray level g, counted from 1."""
-    return np.floor(g / r) + 1.0
+    index = np.divide(g, r, out=np.empty(np.shape(g)))
+    np.floor(index, out=index)
+    index += 1.0
+    return index
 
 
 def dbc_column_heights(x: np.ndarray, r: int, window: PoolSpec,
@@ -193,21 +203,29 @@ def dbc_column_heights(x: np.ndarray, r: int, window: PoolSpec,
         window.kernel_h, window.kernel_w, window.stride_h, window.stride_w,
         dilation=r, padding=r * (window.kernel_h - 1) // 2,
     )
-    top = box_index(pool_max(x, extremes_spec), r)
-    bottom = box_index(pool_min(x, extremes_spec), r)
-    heights = top - bottom - 1.0
+    heights = box_index(pool_max(x, extremes_spec), r)
+    heights -= box_index(pool_min(x, extremes_spec), r)
+    heights -= 1.0
     if clamp_heights:
-        heights = np.maximum(heights, 1.0)
+        np.maximum(heights, 1.0, out=heights)
     glide_spec = PoolSpec(window.kernel_h, window.kernel_w,
                           window.stride_h, window.stride_w)
     mass = pool_sum(heights, glide_spec)
     return DbcStats(heights=heights, mass=mass, occupancy=mass / glide_spec.area)
 
 
-def dbc_plane(stats: DbcStats, epsilon: float) -> np.ndarray:
-    """Lacunarity plane for one dilation: mass^2 * occ / (mass * occ + eps)^2."""
+def dbc_plane(stats: DbcStats, epsilon: float,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Lacunarity plane for one dilation: mass^2 * occ / (mass * occ + eps)^2,
+    written into `out` when given."""
     m, q = stats.mass, stats.occupancy
-    return (m * m * q) / np.square(m * q + epsilon)
+    den = m * q
+    den += epsilon
+    np.square(den, out=den)
+    out = np.multiply(m, m, out=out)
+    out *= q
+    out /= den
+    return out
 
 
 def dbc_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
@@ -218,13 +236,17 @@ def dbc_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     """
     if cfg.method != "dbc":
         raise ValueError(f"config method is {cfg.method!r}, expected 'dbc'")
-    x = tanh_scale(as_feature_map(x))
+    x = tanh_scale(x)
     window = cfg.resolve_window(x)
-    planes = [
-        dbc_plane(dbc_column_heights(x, r, window, cfg.clamp_heights), cfg.epsilon)
-        for r in cfg.dilation_set
-    ]
-    stacked = np.stack(planes, axis=2)  # (N, C, R, H', W')
+    stacked = None  # (N, C, R, H', W'), sized by the first dilation's masses
+    for i, r in enumerate(cfg.dilation_set):
+        stats = dbc_column_heights(x, r, window, cfg.clamp_heights)
+        stats.heights = None  # the plane needs only masses and occupancies
+        if stacked is None:
+            n, c, h, w = stats.mass.shape
+            stacked = np.empty((n, c, len(cfg.dilation_set), h, w))
+        dbc_plane(stats, cfg.epsilon, out=stacked[:, :, i])
+        del stats  # before the next dilation's heights are built
     return stacked.reshape(stacked.shape[0], -1, *stacked.shape[3:])
 
 

@@ -125,7 +125,10 @@ def write_pgm(x: np.ndarray, path: str) -> None:
         raise ValueError("write_pgm requires finite values")
     lo, hi = arr.min(), arr.max()
     if hi > lo:
-        q = np.floor((arr - lo) * (255.0 / (hi - lo)) + 0.5)
+        q = arr - lo
+        q *= 255.0 / (hi - lo)
+        q += 0.5
+        np.floor(q, out=q)
     else:
         q = np.zeros_like(arr)
     h, w = arr.shape

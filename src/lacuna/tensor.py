@@ -3,7 +3,9 @@
 Everything downstream (lacunarity operators, the fusion model) is composed
 from the primitives in this module.  Feature maps are plain numpy arrays of
 shape (batch, channel, height, width), dtype float64; :func:`as_feature_map`
-is the single entry point that enforces that contract.
+is the single entry point that enforces that contract.  Operators allocate
+their outputs and never write into their arguments; in-place arithmetic only
+touches arrays the operator allocated itself.
 
 All reductions accumulate window cells in row-major order within the window,
 so results are bit-reproducible across runs.  :func:`_window_cells` is the one
@@ -252,7 +254,9 @@ def mix_scales(stacked: np.ndarray, mix: GroupedMixWeights) -> np.ndarray:
     """Reduce C*S scale-planes back to C channels.
 
     `stacked` carries channel c's S planes contiguously at indices
-    c*S .. c*S+S-1; output channel c is their mix-weighted sum plus bias.
+    c*S .. c*S+S-1; output channel c is their mix-weighted sum plus bias,
+    accumulated from +0.0 in scale order, so each output cell depends only
+    on its own S products whatever the map's size.
     """
     stacked = as_feature_map(stacked, "stacked")
     c, s = mix.channels, mix.scales
@@ -262,8 +266,11 @@ def mix_scales(stacked: np.ndarray, mix: GroupedMixWeights) -> np.ndarray:
         )
     n, _, h, w = stacked.shape
     grouped = stacked.reshape(n, c, s, h, w)
-    out = (grouped * mix.weights[None, :, :, None, None]).sum(axis=2)
-    return out + mix.bias[None, :, None, None]
+    out = np.zeros((n, c, h, w))
+    for k in range(s):
+        out += grouped[:, :, k] * mix.weights[None, :, k, None, None]
+    out += mix.bias[None, :, None, None]
+    return out
 
 
 def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

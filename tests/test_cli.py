@@ -26,6 +26,18 @@ early_stop_patience = 1
 """
 
 
+# the lacmap settings the benchmark runs; tests/data/lacmap64 holds their
+# heatmaps and printed values on its 64x64 texture
+LACMAP_SETTINGS = (
+    ("--method", "base"),
+    ("--method", "base", "--window", "8"),
+    ("--method", "dbc"),
+    ("--method", "ms"),
+    ("--method", "ms", "--window", "16", "--stride", "4"),
+)
+LACMAP_DATA = Path(__file__).parent / "data" / "lacmap64"
+
+
 @pytest.fixture
 def texture_pgm(tmp_path):
     path = str(tmp_path / "tex.pgm")
@@ -45,6 +57,16 @@ def test_lacmap_writes_heatmap_and_prints_value(tmp_path, texture_pgm, capsys):
     assert len(printed.split(".")[1]) == 6  # %.6f
     heat = read_pgm(out)
     assert heat.shape[0] == 1 and heat.shape[1] == 1
+
+
+@pytest.mark.parametrize("setting", range(len(LACMAP_SETTINGS)))
+def test_lacmap_outputs_are_pinned_byte_for_byte(tmp_path, capsys, setting):
+    out = tmp_path / "heat.pgm"
+    assert cli.main(["lacmap", *LACMAP_SETTINGS[setting],
+                     str(LACMAP_DATA / "texture.pgm"), str(out)]) == 0
+    assert out.read_bytes() == (LACMAP_DATA / f"heat_{setting}.pgm").read_bytes()
+    printed = (LACMAP_DATA / "printed.txt").read_text().splitlines(keepends=True)
+    assert capsys.readouterr().out == printed[setting]
 
 
 def test_lacmap_constant_image_gives_zero(tmp_path, capsys):
@@ -113,6 +135,17 @@ def test_lacmap_stride_without_window_exits_1(tmp_path, texture_pgm, capsys):
     # a stride only means something for a gliding window
     out = tmp_path / "o.pgm"
     assert cli.main(["lacmap", "--stride", "4", texture_pgm, str(out)]) == 1
+    assert not out.exists()
+    assert "--stride" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_lacmap_stride_below_one_exits_1(tmp_path, texture_pgm, capsys, stride):
+    # PoolSpec reads stride 0 as "use the kernel"; on the command line a
+    # stride is a step of at least one cell
+    out = tmp_path / "o.pgm"
+    assert cli.main(["lacmap", "--window", "4", "--stride", stride,
+                     texture_pgm, str(out)]) == 1
     assert not out.exists()
     assert "--stride" in capsys.readouterr().err
 

@@ -127,7 +127,7 @@ def test_pooling_for_mapping(tmp_path):
 def test_run_experiment_summaries(tmp_path):
     cfg = toy_config(tmp_path, methods=("avg", "multiscale"), seeds=(0, 1))
     result = run_experiment(cfg)
-    assert result.seeds == (0, 1)
+    assert "\nseeds = 0, 1\n" in format_results(result)
     assert [s.method for s in result.summaries] == ["avg", "multiscale"]
     for s in result.summaries:
         assert len(s.accuracies) == 2
@@ -213,8 +213,11 @@ def test_run_experiment_ignores_the_seed_environment(tmp_path, monkeypatch):
     cfg = toy_config(tmp_path, seeds=(0, 1))
     monkeypatch.setenv("LACUNA_SEED", "5")
     result = run_experiment(cfg)
-    assert result.seeds == cfg.seeds
     assert len(result.summaries[0].accuracies) == 2
+    written = Path(write_results(result)).read_text().splitlines()
+    assert "seeds = 0, 1" in written
+    assert [line.split(":")[0] for line in written
+            if line.startswith("seed ")] == ["seed 0", "seed 1"]
 
 
 # ------------------------------------------------------------------- results

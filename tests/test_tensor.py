@@ -228,6 +228,26 @@ def test_mix_scales_matches_dot_product_oracle():
     )
 
 
+@pytest.mark.parametrize("s", [1, 3, 9])
+def test_mix_scales_sums_each_cell_in_scale_order(s):
+    # from +0.0, product by product, then the bias: the same bits for a cell
+    # whether it stands alone or in a larger map
+    rng = np.random.default_rng(s)
+    planes = rng.normal(size=(1, s, 3, 3)) * 10.0 ** rng.integers(-8, 9, (1, s, 3, 3))
+    planes[0, :, 0, 0] = -0.0
+    mix = GroupedMixWeights(rng.normal(size=(1, s)), np.array([-0.0]))
+    out = mix_scales(planes, mix)
+    for i in range(3):
+        for j in range(3):
+            acc = 0.0
+            for k in range(s):
+                acc += float(mix.weights[0, k]) * float(planes[0, k, i, j])
+            acc += -0.0
+            alone = mix_scales(planes[:, :, i:i + 1, j:j + 1], mix)
+            assert out[0, 0, i, j].tobytes() == np.float64(acc).tobytes()
+            assert alone.tobytes() == out[:, :, i:i + 1, j:j + 1].tobytes()
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
        st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
