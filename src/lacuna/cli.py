@@ -17,9 +17,9 @@ from .experiment import (
     write_results,
 )
 from .gradcheck import run_gradient_suite
-from .lacunarity import LacunarityConfig, base_lacunarity, scale_planes
+from .lacunarity import LacunarityConfig, base_lacunarity, heatmap
 from .pgm import PgmError, read_pgm_raw, write_pgm
-from .tensor import GroupedMixWeights, PoolSpec, mix_scales
+from .tensor import PoolSpec
 from .train import DivergenceError
 
 EXIT_OK = 0
@@ -56,7 +56,11 @@ def build_parser() -> _Parser:
     lacmap.add_argument("--method", choices=("base", "dbc", "ms"),
                         default="base")
     lacmap.add_argument("--window", type=int, default=None,
-                        help="square window size (default: one global window)")
+                        help="square window size (default: 3x3 stride 1 for "
+                             "--method dbc, else one window over the whole "
+                             "image, which writes a 1x1 heatmap whose one "
+                             "pixel is always 0; the image's global "
+                             "lacunarity is printed either way)")
     lacmap.add_argument("--stride", type=int, default=None,
                         help="window stride (default: the window size)")
     lacmap.add_argument("--scales", type=int, default=None,
@@ -114,8 +118,7 @@ def _cmd_lacmap(args) -> int:
             method={"ms": "multiscale"}.get(args.method, args.method),
             window=window, epsilon=args.epsilon,
             **{k: v for k, v in given.items() if v is not None})
-        heat = mix_scales(scale_planes(x, cfg),
-                          GroupedMixWeights.uniform(1, cfg.scale_count))
+        heat = heatmap(x, cfg)
     except ValueError as exc:  # bad flag combination for this input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -125,6 +128,7 @@ def _cmd_lacmap(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    del heat  # written; the whole-image value below needs its own maps
 
     whole = LacunarityConfig(method="base", epsilon=args.epsilon)
     print(f"{float(base_lacunarity(x, whole)[0, 0, 0, 0]):.6f}")

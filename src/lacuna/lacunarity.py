@@ -16,7 +16,10 @@ feature values of any magnitude land in (0, 255).
 Each operator allocates only its own output and a few working maps: it never
 writes into its arguments, and arithmetic on an array it allocated runs in
 place, in the order the formula gives.  The box-counting planes are written
-straight into one preallocated stack.
+straight into one preallocated stack, and the pyramid blurs only the cells
+its coarser level keeps.  :func:`heatmap` builds a gliding window's mixed
+map in row strips, each from its own slab of input rows, so its working set
+follows the strip rather than the map; every cell keeps the one-pass bits.
 """
 
 from __future__ import annotations
@@ -171,6 +174,16 @@ class DbcStats:
     occupancy: np.ndarray
 
 
+def _dbc_specs(window: PoolSpec, r: int) -> tuple[PoolSpec, PoolSpec]:
+    """The dilation-r extremes pool and the glide pool over its heights."""
+    extremes = PoolSpec(window.kernel_h, window.kernel_w,
+                        window.stride_h, window.stride_w,
+                        dilation=r, padding=r * (window.kernel_h - 1) // 2)
+    glide = PoolSpec(window.kernel_h, window.kernel_w,
+                     window.stride_h, window.stride_w)
+    return extremes, glide
+
+
 def box_index(g: np.ndarray, r: int) -> np.ndarray:
     """Index of the height-r box containing gray level g, counted from 1."""
     index = np.divide(g, r, out=np.empty(np.shape(g)))
@@ -199,17 +212,12 @@ def dbc_column_heights(x: np.ndarray, r: int, window: PoolSpec,
     if window.kernel_h % 2 == 0:
         raise ValueError("box-counting windows must have odd kernel dims")
     x = as_feature_map(x)
-    extremes_spec = PoolSpec(
-        window.kernel_h, window.kernel_w, window.stride_h, window.stride_w,
-        dilation=r, padding=r * (window.kernel_h - 1) // 2,
-    )
+    extremes_spec, glide_spec = _dbc_specs(window, r)
     heights = box_index(pool_max(x, extremes_spec), r)
     heights -= box_index(pool_min(x, extremes_spec), r)
     heights -= 1.0
     if clamp_heights:
         np.maximum(heights, 1.0, out=heights)
-    glide_spec = PoolSpec(window.kernel_h, window.kernel_w,
-                          window.stride_h, window.stride_w)
     mass = pool_sum(heights, glide_spec)
     return DbcStats(heights=heights, mass=mass, occupancy=mass / glide_spec.area)
 
@@ -276,10 +284,19 @@ def _reflect_index(n: int) -> np.ndarray:
 
 def blur_binomial5(x: np.ndarray) -> np.ndarray:
     """5x5 binomial blur under reflect padding (mirror without the edge)."""
-    x = as_feature_map(x)
-    xp = x[:, :, _reflect_index(x.shape[2])[:, None], _reflect_index(x.shape[3])]
-    out = np.zeros_like(x)
-    for tap, cells in zip(_BLUR_TAPS.flat, _window_cells(_BLUR_SPEC, *x.shape[2:])):
+    return _blur_binomial5(as_feature_map(x), 1)
+
+
+def _blur_binomial5(x: np.ndarray, stride: int) -> np.ndarray:
+    """The blur at every `stride`-th row and column from the first: the taps
+    walk the padded map at that stride, so only the kept cells are summed,
+    each in the same tap order as the full blur."""
+    h, w = x.shape[2:]
+    xp = x[:, :, _reflect_index(h)[:, None], _reflect_index(w)]
+    spec = PoolSpec.square(5, stride=stride)
+    out_h, out_w = spec.out_size(h + 4, w + 4)
+    out = np.zeros((x.shape[0], x.shape[1], out_h, out_w))
+    for tap, cells in zip(_BLUR_TAPS.flat, _window_cells(spec, out_h, out_w)):
         out += tap * xp[cells]
     return out
 
@@ -288,9 +305,12 @@ def gaussian_pyramid(x: np.ndarray, levels: int) -> list[np.ndarray]:
     """Recursive blur-then-decimate pyramid; level 1 is the input itself.
 
     Each coarser level keeps the even-indexed rows/columns of the blurred
-    finer level, so an n-cell axis shrinks to (n + 1) // 2 cells.  Raises
-    PyramidDepthError when the requested depth would need more halvings
-    than the input supports (dims must be >= 2**(levels - 1)).
+    finer level, so an n-cell axis shrinks to (n + 1) // 2 cells.  As in
+    Burt & Adelson's REDUCE, the blur is evaluated at those cells only (its
+    taps stride 2 over the padded level), which gives the same bits as
+    `blur_binomial5(level)[:, :, ::2, ::2]` at a quarter of the work.
+    Raises PyramidDepthError when the requested depth would need more
+    halvings than the input supports (dims must be >= 2**(levels - 1)).
     """
     x = as_feature_map(x)
     if levels < 1:
@@ -301,7 +321,7 @@ def gaussian_pyramid(x: np.ndarray, levels: int) -> list[np.ndarray]:
         )
     out = [x]
     for _ in range(levels - 1):
-        out.append(blur_binomial5(out[-1])[:, :, ::2, ::2])
+        out.append(_blur_binomial5(out[-1], 2))
     return out
 
 
@@ -359,3 +379,73 @@ def scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     operator is the one that runs."""
     return {"base": base_lacunarity, "dbc": dbc_scale_planes,
             "multiscale": multiscale_scale_planes}[cfg.method](x, cfg)
+
+
+# input cells (all samples and channels) one strip of `heatmap` advances over:
+# 64 rows of a 512-pixel-wide map, 16 of a 2048-pixel one
+_STRIP_CELLS = 32 * 1024
+
+
+def heatmap(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
+    """`cfg.method`'s planes mixed uniformly to C channels, built in row
+    strips: the same bits as `mix_scales(scale_planes(x, cfg),
+    GroupedMixWeights.uniform(C, cfg.scale_count))`.
+
+    When each output row reads a bounded band of input rows (gliding `base`
+    and `dbc` windows), each strip of output rows runs the method on its
+    slab of input rows only, halo included, and is mixed into the one output
+    map; a strip advances over about `_STRIP_CELLS` input cells.  Global
+    windows, unsquashed base maps and the multi-scale method (whose
+    upsampling ties every row to the whole map's size) run as one strip.
+    """
+    x = as_feature_map(x)
+    chain = _strip_chain(x, cfg)
+    if not chain:
+        return _mixed(scale_planes(x, cfg), cfg, None)
+    n, c, h, w = x.shape
+    out_h, out_w = h, w
+    for spec in chain:
+        out_h, out_w = spec.out_size(out_h, out_w)
+    step = math.prod(spec.stride_h for spec in chain)
+    rows = max(1, _STRIP_CELLS // (n * c * w * step))
+    out = np.empty((n, c, out_h, out_w))
+    for lo in range(0, out_h, rows):
+        hi = min(lo + rows, out_h)
+        a, b = _source_rows(chain, lo, hi, h)
+        planes = scale_planes(x[:, :, a:b], cfg)
+        first = lo - a // step  # the slab's output row that is row `lo`
+        out[:, :, lo:hi] = _mixed(planes[:, :, first:first + hi - lo], cfg, None)
+    return out
+
+
+def _strip_chain(x: np.ndarray, cfg: LacunarityConfig) -> tuple[PoolSpec, ...]:
+    """The pools that take an input row to an output row, input side first,
+    if the rows of `cfg.method`'s output on `x` can be built in strips;
+    else ()."""
+    window = cfg.resolve_window(x)
+    if cfg.method == "dbc":
+        # every dilation strides alike; the widest reaches the most rows
+        return _dbc_specs(window, max(cfg.dilation_set))
+    # variance_ratio's rescale reads the whole map's peak, and a squashed
+    # map (at most 255) never reaches it
+    if cfg.method == "base" and cfg.window is not None and cfg.normalize_input:
+        return (window,)
+    return ()
+
+
+def _source_rows(chain: tuple[PoolSpec, ...], lo: int, hi: int,
+                 h: int) -> tuple[int, int]:
+    """Input rows [a, b) of an h-row map from which `chain` gives output rows
+    [lo, hi) unchanged.
+
+    Output rows [lo, hi) read no map row outside [a, b), so where their
+    windows reach past the slab they reach past the map too, and the slab's
+    padding stands in for the map's.  `a` is rounded down to a multiple of
+    the chain's total row stride, which puts the slab's windows on the map's
+    window grid: the slab's output row j is the map's row j + a // stride."""
+    step = 1
+    for spec in reversed(chain):
+        lo = lo * spec.stride_h - spec.padding
+        hi = (hi - 1) * spec.stride_h - spec.padding + spec.effective_extent()[0]
+        step *= spec.stride_h
+    return max(0, lo) // step * step, min(h, hi)

@@ -9,6 +9,8 @@ byte-identical after the first write.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import ShapeMismatchError
@@ -115,7 +117,11 @@ def read_pgm(path: str) -> np.ndarray:
 
 
 def write_pgm(x: np.ndarray, path: str) -> None:
-    """Rescale [min, max] to [0, 255] (half-up), write binary P5."""
+    """Rescale [min, max] to [0, 255] (half-up), write binary P5.
+
+    A range whose width overflows, or so narrow that 255 over it does, is
+    rescaled in halves or by division, so every finite map writes its
+    extremes as 0 and 255."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 4 and arr.shape[:2] == (1, 1):
         arr = arr[0, 0]
@@ -123,10 +129,20 @@ def write_pgm(x: np.ndarray, path: str) -> None:
         raise ShapeMismatchError(f"write_pgm wants (H, W) or (1,1,H,W), got {x.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("write_pgm requires finite values")
-    lo, hi = arr.min(), arr.max()
+    lo, hi = float(arr.min()), float(arr.max())
     if hi > lo:
-        q = arr - lo
-        q *= 255.0 / (hi - lo)
+        span = hi - lo
+        if span == math.inf:  # the range overflows; halves do not
+            q = arr * 0.5
+            q -= lo * 0.5
+            q *= 255.0 / (hi * 0.5 - lo * 0.5)
+        elif 255.0 / span == math.inf:  # a range too narrow to invert
+            q = arr - lo
+            q /= span
+            q *= 255.0
+        else:
+            q = arr - lo
+            q *= 255.0 / span
         q += 0.5
         np.floor(q, out=q)
     else:

@@ -9,6 +9,7 @@ from _memory import PEAK_SLACK, traced_peak
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lacuna import lacunarity
 from lacuna.lacunarity import (
     LacunarityConfig,
     base_lacunarity,
@@ -76,8 +77,7 @@ CASES = {
             method="multiscale", normalize_input=data.draw(st.booleans()))),
         multiscale_scale_planes),
     "mix_scales": (1e100, lambda x, data: (x, _mix(x, data)), mix_scales),
-    # the rescale subtracts the minimum, so keep max - min finite
-    "write_pgm": (1e300, lambda x, data: (x[:1, :1], x[0, 0]),
+    "write_pgm": (None, lambda x, data: (x[:1, :1], x[0, 0]),
                   lambda x4, x2: (write_pgm(x4, os.devnull),
                                   write_pgm(x2, os.devnull))),
 }
@@ -155,3 +155,14 @@ def test_dbc_scale_planes_holds_its_stack_and_three_working_maps():
     stacked = dbc_scale_planes(x, cfg)
     _budgeted(lambda: dbc_scale_planes(x, cfg),
               stacked.nbytes + 3 * MAP + padded + UFUNC_BUFFER + PEAK_SLACK)
+
+
+def test_heatmap_holds_its_output_and_two_maps(monkeypatch):
+    # in 8-row strips a dbc slab's working maps (its squashed rows, the
+    # stack, the heights, the widest padded extremes) and numpy's ufunc
+    # buffer come to about 1.4 maps; one pass over the map holds about 7.5
+    monkeypatch.setattr(lacunarity, "_STRIP_CELLS", 8 * SIDE)
+    cfg = LacunarityConfig(method="dbc", dilation_set=(1, 2, 3))
+    x = _texture()
+    out = lacunarity.heatmap(x, cfg)
+    _budgeted(lambda: lacunarity.heatmap(x, cfg), out.nbytes + 2 * MAP + PEAK_SLACK)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from lacuna.lacunarity import (
     tanh_scale,
     variance_ratio,
 )
-from lacuna.tensor import GroupedMixWeights, PoolSpec, pool_max
+from lacuna.tensor import GroupedMixWeights, PoolSpec, mix_scales, pool_max
 
 from _reference import (
     ref_blur_decimate,
@@ -460,6 +461,91 @@ def test_pyramid_range_containment(seed, levels):
     for lv in gaussian_pyramid(x, levels):
         assert lv.min() >= x.min() - 1e-12
         assert lv.max() <= x.max() + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(2, 4),
+       n=st.integers(1, 2), c=st.integers(1, 2),
+       h=st.integers(8, 21), w=st.integers(8, 21))
+def test_pyramid_levels_are_the_blurred_finer_level_decimated(seed, levels,
+                                                               n, c, h, w):
+    # the pyramid sums only the kept cells, in the full blur's tap order
+    x = _maps(seed, n=n, c=c, h=h, w=w, lo=-9.0, hi=9.0)
+    pyramid = gaussian_pyramid(x, levels)
+    for finer, level in zip(pyramid, pyramid[1:]):
+        want = blur_binomial5(finer)[:, :, ::2, ::2]
+        assert level.shape == want.shape
+        assert level.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------------- heatmap
+
+@st.composite
+def _gliding_cases(draw):
+    """A map a few rows past the smallest its gliding base or dbc window
+    fits, the config, and the config's total row stride."""
+    n, c = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    stride = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([1, 3, 5]))
+        dilations = tuple(sorted(draw(st.sets(st.integers(1, 3), min_size=1))))
+        cfg = LacunarityConfig(method="dbc", window=PoolSpec.square(k, stride=stride),
+                               dilation_set=dilations)
+        # the glide pool needs k heights rows, each `stride` input rows apart
+        min_h = min_w = (k - 1) * stride + 1
+        step = stride * stride
+    else:
+        window = PoolSpec(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                          stride, draw(st.integers(1, 3)))
+        cfg = LacunarityConfig(window=window, normalize_input=draw(st.booleans()))
+        min_h, min_w, step = window.kernel_h, window.kernel_w, stride
+    shape = (n, c, min_h + draw(st.integers(0, 8)), min_w + draw(st.integers(0, 3)))
+    # unbounded values: tanh saturates, and an unsquashed base map runs whole
+    x = draw(hnp.arrays(np.float64, shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    return x, cfg, step
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(case=_gliding_cases())
+def test_heatmap_strips_equal_the_one_pass_map(rows, case):
+    x, cfg, step = case
+    n, c, _, w = x.shape
+    want = mix_scales(lacunarity.scale_planes(x, cfg),
+                      GroupedMixWeights.uniform(c, cfg.scale_count))
+    with mock.patch.object(lacunarity, "_STRIP_CELLS", rows * n * c * w * step):
+        got = lacunarity.heatmap(x, cfg)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cfg, strips, slab_rows", [
+    # 18 output rows in strips of 2; a dbc slab adds the glide pool's 2 rows
+    # and the dilation-3 extremes' 3 above and below, a base slab 2 rows
+    (LacunarityConfig(method="dbc"), 9, 2 + 8),
+    (LacunarityConfig(window=PoolSpec.square(3, stride=1)), 9, 2 + 2),
+    # a whole-map window, and a pyramid that upsamples to the whole map
+    (LacunarityConfig(), 1, 20),
+    (LacunarityConfig(method="multiscale", window=PoolSpec.square(3, stride=1)),
+     1, 20),
+], ids=["dbc", "base-gliding", "base-global", "multiscale"])
+def test_heatmap_runs_gliding_windows_in_strips(monkeypatch, cfg, strips,
+                                                 slab_rows):
+    x = _maps(5, n=1, c=2, h=20, w=7)
+    slabs = []
+
+    def counted(x, cfg):
+        slabs.append(x.shape[2])
+        return scale_planes(x, cfg)
+
+    scale_planes = lacunarity.scale_planes
+    monkeypatch.setattr(lacunarity, "scale_planes", counted)
+    monkeypatch.setattr(lacunarity, "_STRIP_CELLS", 2 * 2 * 7)
+    got = lacunarity.heatmap(x, cfg)
+    assert len(slabs) == strips
+    assert max(slabs) == slab_rows
+    assert got.tobytes() == lacunarity._mixed(scale_planes(x, cfg), cfg, None).tobytes()
 
 
 # ---------------------------------------------------------------- multiscale

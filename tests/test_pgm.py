@@ -34,6 +34,21 @@ def test_write_constant_map_is_all_zero(tmp_path):
     assert np.all(read_pgm(path) == 0.0)
 
 
+@pytest.mark.parametrize("values, expected", [
+    # 255 over the range overflows (1.1e-308 is subnormal)
+    ([0.0] * 8 + [1.1e-308], [0] * 8 + [255]),
+    ([0.0, 2.0 ** -1072, 2.0 ** -1070, 3 * 2.0 ** -1072], [0, 64, 255, 191]),
+    # the range itself overflows: 2^1023 - -2^1023 is 2^1024
+    ([-2.0 ** 1023, 0.0, 2.0 ** 1023, 2.0 ** 1021], [0, 128, 255, 159]),
+    ([-1e308, 1e308], [0, 255]),
+], ids=["subnormal-spike", "subnormal-ramp", "power-of-two-halves", "huge"])
+def test_write_rescales_ranges_at_the_float_limits(tmp_path, values, expected):
+    # no overflow warning (warnings fail the suite), and no NaN bytes
+    path = str(tmp_path / "edge.pgm")
+    write_pgm(np.array([values]), path)
+    assert read_pgm(path).reshape(-1).tolist() == expected
+
+
 def test_write_accepts_feature_map_rank(tmp_path):
     path = str(tmp_path / "r4.pgm")
     write_pgm(np.zeros((1, 1, 2, 2)), path)
