@@ -5,12 +5,12 @@ seed it draws the dataset and runs the frozen backbone over it once, one
 backbone block of images at a time, into one feature tensor; that tensor is
 then shared by every method, so the comparison is paired, and dropped
 before the next seed's is built.
-Per seed it builds one fusion head per method over those features, trains
-them in lockstep (`train_heads`), and scores each head's test rows once
-through the head function training used (`FusionModel.head`): its logits
-give the test accuracy and its fused features a class-separability (FDR)
-report.  Results serialize to a fixed-format text file: rerunning the
-same config writes byte-identical bytes.
+Per seed it builds one fusion head per method over those features and
+trains them in lockstep (`train_heads`), which pools every row once and
+scores the test rows from those vectors: the test logits give the accuracy
+and the fused test features a class-separability (FDR) report.  Results
+serialize to a fixed-format text file: rerunning the same config writes
+byte-identical bytes.
 
 Configs are INI files (configparser) with an [experiment] section and an
 optional [train] section; see configs/heterogeneity.ini.  A run reads its
@@ -25,13 +25,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lacunarity import LacunarityConfig
+from .lacunarity import METHODS as LACUNARITY_METHODS, LacunarityConfig
 from .metrics import fisher_discriminant_ratio, summarize_log_fdr
-from .model import FrozenBackbone, FusionModel, _backbone_block
+from .model import BASELINE_POOLS, FrozenBackbone, FusionModel, _backbone_block
 from .textures import heterogeneity_dataset, toy_dataset
-from .train import EvalReport, TrainConfig, confusion_report, train_heads
+from .train import EvalReport, TrainConfig, TrainResult, confusion_report, train_heads
 
-METHODS = ("base", "dbc", "multiscale", "avg", "max", "l2")
+METHODS = LACUNARITY_METHODS + BASELINE_POOLS
 DATASETS = ("heterogeneity", "toy")
 
 
@@ -74,6 +74,19 @@ class ExperimentConfig:
             raise ExperimentConfigError("image_size must be >= 16")
         if not self.seeds:
             raise ExperimentConfigError("need at least one seed")
+        if self.backbone_channels < 1:
+            raise ExperimentConfigError("backbone_channels must be >= 1")
+        # the backbone's geometry does not depend on its width
+        _, _, h, w = FrozenBackbone.make(channels=1).feature_shape(
+            1, self.image_size, self.image_size)
+        for m in self.methods:
+            try:
+                pooling = pooling_for(self, m)
+                if not isinstance(pooling, str):
+                    pooling.check_map_size(h, w)
+            except ValueError as exc:
+                raise ExperimentConfigError(
+                    f"method {m} on {h}x{w} features: {exc}") from exc
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
@@ -147,7 +160,7 @@ class ExperimentResult:
 
 
 def pooling_for(cfg: ExperimentConfig, method: str) -> LacunarityConfig | str:
-    if method in ("avg", "max", "l2"):
+    if method in BASELINE_POOLS:
         return method
     if method == "base":
         return LacunarityConfig(method="base")
@@ -186,14 +199,12 @@ def _features(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]
     return feats, labels
 
 
-def _score(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
-           test_idx: np.ndarray) -> tuple[EvalReport, float]:
-    """Test scores and log-FDR from one pass of the head over the test rows."""
-    logits, fused = model.head(feats[test_idx])
-    true = labels[test_idx]
-    return (confusion_report(true, np.argmax(logits, axis=1),
-                             model.classifier_b.size),
-            fisher_discriminant_ratio(fused, true).log_fdr)
+def _score(result: TrainResult, labels: np.ndarray,
+           classes: int) -> tuple[EvalReport, float]:
+    """Test scores and log-FDR from the test rows training scored."""
+    true = labels[result.test_idx]
+    return (confusion_report(true, result.test_logits.argmax(axis=1), classes),
+            fisher_discriminant_ratio(result.test_fused, true).log_fdr)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -209,8 +220,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                   for method in cfg.methods]
         results = train_heads(models, feats, labels,
                               replace(cfg.train, seed=seed))
-        for i, (model, result) in enumerate(zip(models, results)):
-            report, log_fdr = _score(model, feats, labels, result.test_idx)
+        for i, result in enumerate(results):
+            report, log_fdr = _score(result, labels, cfg.classes)
             accs[i].append(report.accuracy)
             fdrs[i].append(log_fdr)
             epochs[i].append(result.history.epochs())

@@ -79,8 +79,8 @@ class LacunarityConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and > 0")
         if self.method == "dbc":
             if len(self.dilation_set) == 0:
                 raise ValueError("dilation_set must be nonempty")
@@ -106,6 +106,20 @@ class LacunarityConfig:
         if self.method == "dbc":
             return DBC_DEFAULT_WINDOW
         return PoolSpec.global_window(x.shape[2], x.shape[3])
+
+    def check_map_size(self, height: int, width: int) -> None:
+        """Raise what the method's planes raise on maps too small for them."""
+        if self.method == "dbc":
+            for r in self.dilation_set:
+                extremes, glide = _dbc_specs(self.window or DBC_DEFAULT_WINDOW, r)
+                glide.out_size(*extremes.out_size(height, width))
+            return
+        levels = self.scales if self.method == "multiscale" else 1
+        _check_depth(height, width, levels)
+        for _ in range(levels):
+            if self.window is not None:
+                self.window.out_size(height, width)
+            height, width = (height + 1) // 2, (width + 1) // 2
 
 
 def tanh_scale(x: np.ndarray) -> np.ndarray:
@@ -301,6 +315,15 @@ def _blur_binomial5(x: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
+def _check_depth(height: int, width: int, levels: int) -> None:
+    """Raise PyramidDepthError unless a height x width map has `levels` levels."""
+    if levels < 1:
+        raise PyramidDepthError("levels must be >= 1")
+    if min(height, width) < 2 ** (levels - 1):
+        raise PyramidDepthError(
+            f"{height}x{width} input cannot support {levels} pyramid levels")
+
+
 def gaussian_pyramid(x: np.ndarray, levels: int) -> list[np.ndarray]:
     """Recursive blur-then-decimate pyramid; level 1 is the input itself.
 
@@ -313,12 +336,7 @@ def gaussian_pyramid(x: np.ndarray, levels: int) -> list[np.ndarray]:
     halvings than the input supports (dims must be >= 2**(levels - 1)).
     """
     x = as_feature_map(x)
-    if levels < 1:
-        raise PyramidDepthError("levels must be >= 1")
-    if min(x.shape[2], x.shape[3]) < 2 ** (levels - 1):
-        raise PyramidDepthError(
-            f"{x.shape[2]}x{x.shape[3]} input cannot support {levels} pyramid levels"
-        )
+    _check_depth(x.shape[2], x.shape[3], levels)
     out = [x]
     for _ in range(levels - 1):
         out.append(_blur_binomial5(out[-1], 2))

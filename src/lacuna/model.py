@@ -6,9 +6,11 @@ after that takes the feature tensor.  The fusion head reduces it once, to
 the spatial means of its pooling branch's S scale planes (a lacunarity
 operator; S = 1 for base and the avg/max/l2 baselines), built a block of
 samples at a time, and of the features themselves (GAP).  One head
-function, which training runs over a stack of heads, then mixes the scales,
-multiplies the two branches per channel and applies a linear classifier.
-Only the scale mix (when the branch has one) and the classifier train.
+function, which training runs over a stack of heads and `FusionModel.head`
+(the model's only forward) over a stack of one, then mixes the scales (a
+frozen identity mix when the branch has one plane), multiplies the two
+branches per channel and applies a linear classifier.  Only the scale mix
+(when the branch has one) and the classifier train.
 
 Features computed elsewhere enter the same way, as a plain tensor read from
 a flat binary feature file ("LACF" magic, little-endian uint32 dims,
@@ -269,17 +271,14 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray
 
 # -------------------------------------------------------------- fusion model
 
-def _head(pooled, gapped, classifier_w, classifier_b, *mix):
+def _head(pooled, gapped, classifier_w, classifier_b, mix_weights, mix_bias):
     """(M, N, K) logits and (M, N, C) classifier input of M stacked heads.
 
-    `pooled` is (M, N, C, S) and `gapped` the (N, C) GAP vectors.  `mix` is
-    the (M, C, S) weights and (M, C) bias; with none, slot 0 is the branch.
+    `pooled` is (M, N, C, S), `gapped` the (N, C) GAP vectors, and the mix
+    (M, C, S) weights and (M, C) bias.  Pooled values are never -0.0, so an
+    identity slot (weight 1, bias 0) gives a plane back bit for bit.
     """
-    if mix:
-        weights, bias = mix
-        lac = np.einsum("mncs,mcs->mnc", pooled, weights) + bias[:, None]
-    else:
-        lac = pooled[..., 0]
+    lac = np.einsum("mncs,mcs->mnc", pooled, mix_weights) + mix_bias[:, None]
     fused = lac * gapped
     # einsum's own loop, not BLAS: a row's logits do not depend on its batch
     logits = (np.einsum("mnc,mkc->mnk", fused, classifier_w)
@@ -339,6 +338,11 @@ class FusionModel:
         mix = 0 if self.mix is None else self.mix.param_count()
         return self.classifier_w.size + self.classifier_b.size + mix
 
+    @property
+    def head_mix(self) -> GroupedMixWeights:
+        """The mix the head applies: `mix`, else a frozen identity slot."""
+        return self.mix or GroupedMixWeights.uniform(self.classifier_w.shape[1], 1)
+
     # --- forwards --------------------------------------------------------
 
     def scale_planes(self, feats: np.ndarray) -> np.ndarray:
@@ -371,19 +375,8 @@ class FusionModel:
     def head(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, K) logits and their (N, C) classifier input, from one pass."""
         feats = as_feature_map(feats, "features")
-        mix = () if self.mix is None else (self.mix.weights[None], self.mix.bias[None])
+        mix = self.head_mix
         logits, fused = _head(self.pooled(feats)[None], gap(feats)[:, :, 0, 0],
                               self.classifier_w[None], self.classifier_b[None],
-                              *mix)
+                              mix.weights[None], mix.bias[None])
         return logits[0], fused[0]
-
-    def fused(self, feats: np.ndarray) -> np.ndarray:
-        """(N, C) product of the pooling and GAP branches: the classifier input."""
-        return self.head(feats)[1]
-
-    def forward(self, feats: np.ndarray) -> np.ndarray:
-        """Class logits for a feature batch."""
-        return self.head(feats)[0]
-
-    def predict(self, feats: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(feats), axis=1)

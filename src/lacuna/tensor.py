@@ -233,11 +233,6 @@ class GroupedMixWeights:
         """Untrained default: average across scales (weights 1/S, bias 0)."""
         return cls(np.full((channels, scales), 1.0 / scales), np.zeros(channels))
 
-    @classmethod
-    def identity(cls, channels: int) -> "GroupedMixWeights":
-        """S=1 pass-through."""
-        return cls(np.ones((channels, 1)), np.zeros(channels))
-
     @property
     def channels(self) -> int:
         return self.weights.shape[0]

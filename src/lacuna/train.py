@@ -6,15 +6,14 @@ reduces them once, to the (N, C) GAP branch plus each head's (N, C, S)
 `FusionModel.pooled` vectors, written straight into one stacked array;
 `pooled` builds the scale planes a block of samples at a time, so training
 holds the planes of one block, never of all N samples.  A step then runs on
-those per-sample vectors:
-the model's head function (mix, fusion product and classifier, the one
-`FusionModel.forward` and so `evaluate` use), one softmax shared by loss and
-gradient, and hand-written gradients, with no 4-D tensor ops; adaptive
+those per-sample vectors: the model's head function (mix, fusion product
+and classifier, the one `FusionModel.head` runs), one softmax shared by loss
+and gradient, and hand-written gradients, with no 4-D tensor ops; adaptive
 moment estimation, at Kingma & Ba's published constants, then updates the
 one flat array that holds every trainable value.  The train/val/test split
 is a fixed 70/10/20 per class, batches follow a seeded permutation, and
-early stopping watches validation loss with the best-validation weights
-restored at the end and written into the model's own arrays.
+early stopping watches validation loss; the best-validation weights are
+written into the model's own arrays and score the test rows.
 
 Heads that share features, labels and seed also share the split and the
 batch order, so `train_heads` trains them in lockstep on one stacked state
@@ -120,9 +119,7 @@ class Adam:
 @dataclass
 class History:
     train_loss: list[float] = field(default_factory=list)
-    train_acc: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
-    val_acc: list[float] = field(default_factory=list)
     best_epoch: int = 0  # 1-based epoch whose weights were kept
 
     def epochs(self) -> int:
@@ -136,6 +133,8 @@ class TrainResult:
     val_idx: np.ndarray
     test_idx: np.ndarray
     stopped_early: bool
+    test_logits: np.ndarray  # (T, K) for the test rows, kept weights
+    test_fused: np.ndarray  # (T, C) classifier input of the same rows
 
 
 @dataclass
@@ -157,18 +156,16 @@ class _HeadState:
 
     Features are validated and pooled once: `gapped` is the (N, C) GAP
     branch every head shares, and `pooled` is (M, N, C, S_max), each head's
-    `FusionModel.pooled` vectors (S = 1 for a head that does not mix
-    scales).  Logits come from the model module's head function, the one
-    `FusionModel.forward` calls, so a trained head scores its rows with the
-    same bits it was trained on.
+    `FusionModel.pooled` vectors.  Logits come from the model's head
+    function, the one `FusionModel.head` calls, so a trained head scores its
+    rows with the same bits it was trained on.
 
     `params` holds the stacked trainable arrays, each with a leading head
-    axis; `grads` holds one same-shaped array each.  When any head mixes,
-    every head gets `mix_weights` (M, C, S_max) and `mix_bias` (M, C): a
-    non-mixing head's slot 0 has a frozen weight of 1 and bias of 0, a
-    narrower mix is zero-padded, and `trainable` masks the gradients of
-    those slots to zero, so Adam leaves them bit-exact.  Every op acts on
-    each head's slice alone.
+    axis; `grads` holds one same-shaped array each.  `mix_weights` (M, C,
+    S_max) and `mix_bias` (M, C) hold each head's `FusionModel.head_mix`,
+    zero-padded, and `trainable` masks the gradients of the frozen identity
+    and padded slots to zero, so Adam leaves them bit-exact.  Every op acts
+    on each head's slice alone.
     """
 
     def __init__(self, models: list[FusionModel], feats: np.ndarray,
@@ -196,21 +193,14 @@ class _HeadState:
         for i, model in enumerate(models):
             s = model.scale_count
             self.pooled[i, :, :, :s] = model.pooled(feats)
-            if model.mix is None:
-                weights[i, :, 0] = 1.0
-                continue
-            weights[i, :, :s] = model.mix.weights
-            bias[i] = model.mix.bias
-            self.trainable["mix_weights"][i, :, :s] = 1.0
-            self.trainable["mix_bias"][i] = 1.0
-        arrays = {
-            "classifier_b": np.stack([model.classifier_b for model in models]),
-            "classifier_w": np.stack([model.classifier_w for model in models]),
-        }
-        self.mixing = any(model.mix is not None for model in models)
-        if self.mixing:
-            arrays["mix_bias"] = bias
-            arrays["mix_weights"] = weights
+            weights[i, :, :s] = model.head_mix.weights
+            bias[i] = model.head_mix.bias
+            if model.mix is not None:
+                self.trainable["mix_weights"][i, :, :s] = 1.0
+                self.trainable["mix_bias"][i] = 1.0
+        arrays = {"classifier_b": np.stack([head.classifier_b for head in models]),
+                  "classifier_w": np.stack([head.classifier_w for head in models]),
+                  "mix_bias": bias, "mix_weights": weights}
         # views into one buffer each, so Adam makes one pass per step
         self.flat = np.concatenate([v.ravel() for v in arrays.values()])
         self.flat_grad = np.zeros_like(self.flat)
@@ -227,53 +217,46 @@ class _HeadState:
         p = self.params
         gapped = self.gapped[idx]
         pooled = self.pooled.take(idx, axis=1)
-        mix = (p["mix_weights"], p["mix_bias"]) if self.mixing else ()
         logits, fused = _head(pooled, gapped, p["classifier_w"],
-                              p["classifier_b"], *mix)
+                              p["classifier_b"], p["mix_weights"],
+                              p["mix_bias"])
         return logits, fused, gapped, pooled
 
-    def loss_grad(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-head batch loss and hit count; fills `grads` for every head.
+    def loss_grad(self, idx: np.ndarray) -> np.ndarray:
+        """Per-head batch loss; fills `grads` for every head.
 
         A head whose loss is not finite gets non-finite gradients; the
         caller decides whether that head still counts.
         """
-        labels = self.labels[idx]
         logits, fused, gapped, pooled = self._forward(idx)
-        losses, d_logits = _cross_entropy(logits, labels)
-        hits = (logits.argmax(axis=-1) == labels).sum(axis=-1)
+        losses, d_logits = _cross_entropy(logits, self.labels[idx])
         d_logits -= self.onehot[idx]
         d_logits /= len(idx)
         g = self.grads
         np.matmul(d_logits.transpose(0, 2, 1), fused, out=g["classifier_w"])
         np.add.reduce(d_logits, axis=1, out=g["classifier_b"])
-        if self.mixing:
-            d_lac = np.matmul(d_logits, self.params["classifier_w"]) * gapped
-            np.add.reduce(d_lac[..., None] * pooled, axis=1,
-                          out=g["mix_weights"])
-            np.add.reduce(d_lac, axis=1, out=g["mix_bias"])
-            for name, mask in self.trainable.items():
-                g[name] *= mask
-        return losses, hits
+        d_lac = np.matmul(d_logits, self.params["classifier_w"]) * gapped
+        np.add.reduce(d_lac[..., None] * pooled, axis=1, out=g["mix_weights"])
+        np.add.reduce(d_lac, axis=1, out=g["mix_bias"])
+        for name, mask in self.trainable.items():
+            g[name] *= mask
+        return losses
 
-    def loss_acc(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-head loss and accuracy on the rows `idx`."""
-        labels = self.labels[idx]
-        logits, _, _, _ = self._forward(idx)
-        losses, _ = _cross_entropy(logits, labels)
-        hits = (logits.argmax(axis=-1) == labels).sum(axis=-1)
-        return losses, hits / len(idx)
+    def loss(self, idx: np.ndarray) -> np.ndarray:
+        """Per-head loss on the rows `idx`."""
+        return _cross_entropy(self._forward(idx)[0], self.labels[idx])[0]
 
-    def write_back(self, params: dict[str, np.ndarray],
-                   models: list[FusionModel]) -> None:
-        """Copy each head's slice of `params` into its model's own arrays."""
+    def restore(self, snapshot, models: list[FusionModel]) -> None:
+        """Load `snapshot` into `params` and each head's slice into its model."""
+        p = self.params
+        for name, value in snapshot.items():
+            p[name][...] = value
         for i, model in enumerate(models):
-            model.classifier_b[...] = params["classifier_b"][i]
-            model.classifier_w[...] = params["classifier_w"][i]
+            model.classifier_b[...] = p["classifier_b"][i]
+            model.classifier_w[...] = p["classifier_w"][i]
             if model.mix is not None:
-                model.mix.bias[...] = params["mix_bias"][i]
-                model.mix.weights[...] = \
-                    params["mix_weights"][i, :, :model.mix.scales]
+                model.mix.bias[...] = p["mix_bias"][i]
+                model.mix.weights[...] = p["mix_weights"][i, :, :model.mix.scales]
 
 
 def train_heads(models: list[FusionModel], feats: np.ndarray,
@@ -285,8 +268,9 @@ def train_heads(models: list[FusionModel], feats: np.ndarray,
     and best-validation weights, and a head that has stopped is no longer
     checked or recorded.  The loop ends when every head has stopped or at
     `cfg.max_epochs`; the kept weights are then written into each model's
-    own arrays, in place.  A head trained alone or in a stack ends with the
-    same bits.
+    own arrays, in place, and score the test rows from the vectors training
+    pooled (`TrainResult.test_logits`, `test_fused`).  A head trained alone
+    or in a stack ends with the same bits.
 
     Deterministic given cfg.seed: the split, every shuffle, and all update
     arithmetic follow fixed orders.  Raises DivergenceError on a non-finite
@@ -310,19 +294,17 @@ def train_heads(models: list[FusionModel], feats: np.ndarray,
         order = train_idx[rng.permutation(len(train_idx))]
         seen = 0
         loss_sum = np.zeros(m)
-        hit_sum = np.zeros(m, dtype=np.int64)
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            losses, hits = state.loss_grad(idx)
+            losses = state.loss_grad(idx)
             diverged = active & ~np.isfinite(losses)
             if diverged.any():
                 raise DivergenceError(
                     f"train loss {losses[diverged][0]} at epoch {epoch}")
             opt.step(state.flat_grad)
             loss_sum += losses * len(idx)
-            hit_sum += hits
             seen += len(idx)
-        val_loss, val_acc = state.loss_acc(val_idx)
+        val_loss = state.loss(val_idx)
         diverged = active & ~np.isfinite(val_loss)
         if diverged.any():
             raise DivergenceError(
@@ -330,9 +312,7 @@ def train_heads(models: list[FusionModel], feats: np.ndarray,
         for i in np.flatnonzero(active):
             history = histories[i]
             history.train_loss.append(float(loss_sum[i] / seen))
-            history.train_acc.append(int(hit_sum[i]) / seen)
             history.val_loss.append(float(val_loss[i]))
-            history.val_acc.append(float(val_acc[i]))
             if val_loss[i] < best_val[i]:
                 best_val[i] = val_loss[i]
                 history.best_epoch = epoch
@@ -346,10 +326,12 @@ def train_heads(models: list[FusionModel], feats: np.ndarray,
         if not active.any():
             break
 
-    state.write_back(best_snapshot, models)
+    state.restore(best_snapshot, models)
+    logits, fused, _, _ = state._forward(test_idx)
     return [TrainResult(history=history, train_idx=train_idx, val_idx=val_idx,
-                        test_idx=test_idx, stopped_early=not running)
-            for history, running in zip(histories, active)]
+                        test_idx=test_idx, stopped_early=not running,
+                        test_logits=logits[i], test_fused=fused[i])
+            for i, (history, running) in enumerate(zip(histories, active))]
 
 
 def train(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
@@ -380,5 +362,5 @@ def evaluate(model: FusionModel, feats: np.ndarray, labels: np.ndarray,
     feats = as_feature_map(feats, "features")
     if feats.shape[0] != len(labels):
         raise ValueError(f"{feats.shape[0]} feature rows for {len(labels)} labels")
-    return confusion_report(labels[idx], model.predict(feats[idx]),
+    return confusion_report(labels[idx], model.head(feats[idx])[0].argmax(axis=1),
                             model.classifier_b.size)

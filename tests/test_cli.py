@@ -5,6 +5,7 @@ import pytest
 
 from lacuna import cli
 from lacuna import gradcheck
+from lacuna.model import FrozenBackbone
 from lacuna.pgm import read_pgm, write_pgm
 from lacuna.textures import generate_texture
 from lacuna.train import DivergenceError
@@ -188,6 +189,15 @@ def test_lacmap_bad_flag_combination_exits_1(tmp_path, texture_pgm, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan", "0"])
+def test_lacmap_epsilon_not_finite_and_positive_exits_1(tmp_path, texture_pgm,
+                                                        capsys, eps):
+    out = tmp_path / "o.pgm"
+    assert cli.main(["lacmap", "--epsilon", eps, texture_pgm, str(out)]) == 1
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- experiment
 
 def test_experiment_runs_and_writes_results(tmp_path, capsys):
@@ -218,6 +228,33 @@ def test_experiment_bad_config_exits_1(tmp_path, capsys):
     assert cli.main(["experiment", str(ini)]) == 1
     assert cli.main(["experiment", str(tmp_path / "absent.ini")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("methods, setting", [
+    ("avg", "backbone_channels = 0"),
+    ("multiscale", "scales = 0"),
+    ("multiscale", "scales = 4"),  # 7x7 features hold three levels
+    ("multiscale", "scales = 9"),
+    ("dbc", "dilations = 0"),
+    ("dbc", "dilations = 2, 1"),
+    ("dbc", "image_size = 16"),  # 2x2 features
+])
+def test_experiment_config_its_pooling_cannot_run_exits_1(
+        tmp_path, capsys, monkeypatch, methods, setting):
+    def unreachable(self, images):
+        raise AssertionError("the backbone ran on a rejected config")
+
+    monkeypatch.setattr(FrozenBackbone, "features", unreachable)
+    key = setting.split(" = ")[0]
+    lines = [line for line in TOY_INI.format(out=tmp_path / "results.txt")
+             .splitlines() if not line.startswith(("methods", key))]
+    lines[1:1] = [f"methods = {methods}", setting]
+    ini = tmp_path / "exp.ini"
+    ini.write_text("\n".join(lines) + "\n")
+    assert cli.main(["experiment", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "results.txt").exists()
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])

@@ -18,7 +18,7 @@ from lacuna.experiment import (
     write_results,
 )
 from lacuna.lacunarity import LacunarityConfig
-from lacuna.model import FrozenBackbone
+from lacuna.model import FrozenBackbone, FusionModel
 from lacuna.textures import toy_dataset
 from lacuna.train import TrainConfig
 
@@ -158,6 +158,30 @@ def test_run_experiment_runs_backbone_once_per_seed(tmp_path, monkeypatch):
     for seed, blocks in ((0, batches[:2]), (1, batches[2:])):
         images, _ = toy_dataset(3, 10, 56, seed)
         assert np.array_equal(np.concatenate(blocks), images)
+
+
+def test_run_experiment_pools_each_row_once_per_head(tmp_path, monkeypatch):
+    rows = []
+    planes = FusionModel.scale_planes
+
+    def counted(self, feats):
+        rows.append(len(feats))
+        return planes(self, feats)
+
+    monkeypatch.setattr(FusionModel, "scale_planes", counted)
+    run_experiment(toy_config(tmp_path, methods=("avg", "dbc", "multiscale"),
+                              seeds=(0, 1)))
+    # 30 rows per seed, pooled once per head: the test rows are scored from
+    # the vectors training pooled, not pooled again
+    assert sum(rows) == 30 * 3 * 2
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(methods=("multiscale",), scales=3),
+    dict(methods=("dbc",), image_size=17),  # 3x3 features fit the 3x3 glide
+])
+def test_config_accepts_pooling_that_fits_the_features(tmp_path, overrides):
+    toy_config(tmp_path, **overrides)
 
 
 @pytest.mark.parametrize("dataset", ["heterogeneity", "toy"])

@@ -454,6 +454,28 @@ def test_pyramid_depth_errors():
     assert len(gaussian_pyramid(x, 1)) == 1
 
 
+@pytest.mark.parametrize("cfg", [
+    LacunarityConfig(),
+    LacunarityConfig(window=PoolSpec(2, 3, 1, 2)),
+    LacunarityConfig(method="dbc"),
+    LacunarityConfig(method="dbc", dilation_set=(1, 3),
+                     window=PoolSpec.square(3, stride=2)),
+    LacunarityConfig(method="multiscale", scales=3),
+    LacunarityConfig(method="multiscale", window=PoolSpec.square(3, stride=1)),
+])
+def test_check_map_size_raises_where_the_planes_do(cfg):
+    for h in range(1, 10):
+        for w in range(1, 10):
+            x = _maps(h * 10 + w, n=1, c=1, h=h, w=w)
+            try:
+                lacunarity.scale_planes(x, cfg)
+            except ValueError as exc:
+                with pytest.raises(type(exc)):
+                    cfg.check_map_size(h, w)
+            else:
+                cfg.check_map_size(h, w)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 3))
 def test_pyramid_range_containment(seed, levels):
@@ -555,7 +577,7 @@ def test_multiscale_single_scale_collapses_to_base():
     for window in (None, PoolSpec.square(2, stride=2)):
         ms_cfg = LacunarityConfig(method="multiscale", window=window, scales=1)
         base_cfg = LacunarityConfig(method="base", window=window)
-        mix = GroupedMixWeights.identity(3)
+        mix = GroupedMixWeights.uniform(3, 1)
         out = multiscale_lacunarity(x, ms_cfg, mix)
         ref = base_lacunarity(x, base_cfg)
         assert np.array_equal(out, ref)
@@ -651,6 +673,8 @@ def test_scale_plane_entries_reject_another_method(entry, method):
     dict(method="dbc", dilation_set=(0, 1)),
     dict(method="dbc", normalize_input=False),
     dict(scales=0),
+    dict(epsilon=math.inf),
+    dict(epsilon=math.nan),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):

@@ -253,7 +253,7 @@ def test_feature_file_features_feed_the_head(tmp_path):
     model = FusionModel.build(loaded.shape[1], "avg", num_classes=2, seed=0)
     assert model.classifier_w.shape == (2, 4)
     assert np.array_equal(loaded, feats)
-    assert np.allclose(model.forward(loaded[[2, 0]]), model.forward(feats)[[2, 0]])
+    assert np.allclose(model.head(loaded[[2, 0]])[0], model.head(feats)[0][[2, 0]])
 
 
 def test_backbone_rejects_multichannel_images():
@@ -387,7 +387,7 @@ def test_avg_baseline_is_classifier_of_gap_squared():
     feats = fixture_feats()
     g = gap(feats)[:, :, 0, 0]
     expected = linear_classifier(g * g, model.classifier_w, model.classifier_b)
-    assert np.allclose(model.forward(feats=feats), expected)
+    assert np.allclose(model.head(feats)[0], expected)
 
 
 def test_constant_features_give_bias_logits_for_lacunarity():
@@ -395,7 +395,7 @@ def test_constant_features_give_bias_logits_for_lacunarity():
     cfg = LacunarityConfig(method="base", normalize_input=False)
     model = FusionModel.build(2, cfg, num_classes=2, seed=0)
     feats = np.full((3, 2, 6, 6), 4.0)
-    logits = model.forward(feats=feats)
+    logits, _ = model.head(feats)
     assert np.allclose(logits, model.classifier_b[None, :])
 
 
@@ -406,7 +406,7 @@ def test_base_branch_uses_global_lacunarity():
     lac = base_lacunarity(feats, cfg)
     fused = lac[:, :, 0, 0] * gap(feats)[:, :, 0, 0]
     expected = linear_classifier(fused, model.classifier_w, model.classifier_b)
-    assert np.allclose(model.forward(feats=feats), expected)
+    assert np.allclose(model.head(feats)[0], expected)
 
 
 def test_multiscale_model_has_mix_and_param_count():
@@ -436,7 +436,7 @@ def test_dbc_branch_defaults_to_local_window_and_gap():
     assert planes.shape == (4, 6, 5, 5)
     pooled = model.pooled(feats)
     assert pooled.shape == (4, 3, 2)
-    assert model.fused(feats).shape == (4, 3)
+    assert model.head(feats)[1].shape == (4, 3)
     assert DBC_DEFAULT_WINDOW == PoolSpec.square(3, stride=1)
     assert cfg.resolve_window(feats) == DBC_DEFAULT_WINDOW
 
@@ -448,7 +448,7 @@ def test_multiscale_branch_pools_mixed_planes():
     feats = fixture_feats(c=4, hw=8)
     planes = model.scale_planes(feats)
     assert planes.shape[1] == 8  # S * C planes, scale-major
-    fused = model.fused(feats)
+    _, fused = model.head(feats)
     assert fused.shape == (4, 4)
     from lacuna.tensor import mix_scales
     mixed = mix_scales(planes, model.mix)
@@ -476,6 +476,6 @@ def test_predict_runs_end_to_end_on_images():
     cfg = LacunarityConfig(method="multiscale", scales=2)
     model = FusionModel.build(bb.out_channels, cfg, num_classes=3, seed=0)
     images = np.random.default_rng(5).uniform(0, 255, size=(2, 1, 56, 56))
-    preds = model.predict(bb.features(images))
+    preds = model.head(bb.features(images))[0].argmax(axis=1)
     assert preds.shape == (2,)
     assert set(preds.tolist()) <= {0, 1, 2}

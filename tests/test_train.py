@@ -20,6 +20,7 @@ from lacuna.train import (
     EmptySplitError,
     TrainConfig,
     _HeadState,
+    confusion_report,
     evaluate,
     split_indices,
     train,
@@ -130,7 +131,7 @@ def test_best_validation_weights_are_restored():
                       learning_rate=0.2, seed=1)
     result = train(model, feats, labels, cfg)
     state = _HeadState([model], feats, labels)
-    (val_loss,), _ = state.loss_acc(result.val_idx)
+    (val_loss,) = state.loss(result.val_idx)
     best = result.history.best_epoch
     assert val_loss == pytest.approx(result.history.val_loss[best - 1])
     assert result.history.val_loss[best - 1] == pytest.approx(
@@ -174,7 +175,7 @@ def test_history_tracks_every_epoch():
     h = result.history
     n = h.epochs()
     assert n >= 1
-    assert len(h.train_acc) == len(h.val_loss) == len(h.val_acc) == n
+    assert len(h.val_loss) == n
     assert all(np.isfinite(v) for v in h.train_loss + h.val_loss)
 
 
@@ -236,11 +237,15 @@ def test_flat_step_gradient_matches_registry_chain(name):
     model, feats, labels, idx = oracle_head(name)
     want_loss, want = registry_gradients(model, feats, labels, idx)
     state = _HeadState([model], feats, labels)
-    (loss,), (hits,) = state.loss_grad(idx)
+    (loss,) = state.loss_grad(idx)
     assert loss == pytest.approx(want_loss, rel=1e-12)
-    assert 0 <= hits <= len(idx)
-    assert sorted(state.grads) == sorted(want)
+    # every head carries mix arrays; a head that does not mix trains none
+    assert sorted(state.grads) == ["classifier_b", "classifier_w",
+                                   "mix_bias", "mix_weights"]
     assert ("mix_weights" in want) == (name in ("dbc", "multiscale"))
+    if "mix_weights" not in want:
+        assert not np.any(state.grads["mix_weights"])
+        assert not np.any(state.grads["mix_bias"])
     for key, grad in want.items():
         assert np.abs(grad).max() > 0
         np.testing.assert_allclose(state.grads[key][0], grad, rtol=1e-10,
@@ -255,13 +260,17 @@ def test_flat_step_gradient_matches_central_differences(name):
     h = 1e-5
     for key, param in state.params.items():
         analytic = state.grads[key]
-        numeric = np.empty_like(analytic)
+        trainable = state.trainable.get(key, np.ones_like(param))
+        assert not np.any(analytic[trainable == 0])
+        numeric = np.zeros_like(analytic)
         for j in np.ndindex(param.shape):
+            if not trainable[j]:
+                continue
             old = param[j]
             param[j] = old + h
-            (up,), _ = state.loss_acc(idx)
+            (up,) = state.loss(idx)
             param[j] = old - h
-            (down,), _ = state.loss_acc(idx)
+            (down,) = state.loss(idx)
             param[j] = old
             numeric[j] = (up - down) / (2.0 * h)
         np.testing.assert_allclose(numeric, analytic, rtol=1e-6,
@@ -350,7 +359,7 @@ def test_lockstep_heads_match_solo_training_bit_for_bit():
 
 
 def test_trained_heads_score_with_the_logits_training_saw():
-    # one head path: forward on a feature subset gives the training state's
+    # one head path: the head on a feature subset gives the training state's
     # logits for those rows bit for bit, for every pooling method
     stack = [toy_setup(pooling=pool)[0] for pool in METHOD_POOLS.values()]
     _, feats, labels = toy_setup()
@@ -361,10 +370,28 @@ def test_trained_heads_score_with_the_logits_training_saw():
     for rows in (results[0].test_idx, np.arange(len(labels))[::-1]):
         logits, fused, _, _ = state._forward(rows)
         for i, (name, model) in enumerate(zip(METHOD_POOLS, stack)):
-            assert np.array_equal(model.forward(feats[rows]), logits[i]), name
-            assert np.array_equal(model.fused(feats[rows]), fused[i]), name
-            assert np.array_equal(model.predict(feats[rows]),
-                                  logits[i].argmax(axis=1)), name
+            got_logits, got_fused = model.head(feats[rows])
+            assert np.array_equal(got_logits, logits[i]), name
+            assert np.array_equal(got_fused, fused[i]), name
+            report = evaluate(model, feats, labels, rows)
+            want = confusion_report(labels[rows], logits[i].argmax(axis=1), 3)
+            assert np.array_equal(report.confusion, want.confusion), name
+
+
+def test_trained_heads_return_their_test_scores():
+    # the test rows are scored in the training state, with the kept weights,
+    # as the trained model's own head scores them
+    stack = [toy_setup(pooling=pool)[0] for pool in METHOD_POOLS.values()]
+    _, feats, labels = toy_setup()
+    results = train_heads(stack, feats, labels,
+                          TrainConfig(max_epochs=6, early_stop_patience=2,
+                                      learning_rate=0.5))
+    assert len({r.history.best_epoch for r in results}) > 1
+    for name, model, result in zip(METHOD_POOLS, stack, results):
+        logits, fused = model.head(feats[result.test_idx])
+        assert result.test_logits.shape == (len(result.test_idx), 3)
+        assert result.test_logits.tobytes() == logits.tobytes(), name
+        assert result.test_fused.tobytes() == fused.tobytes(), name
 
 
 def test_nan_in_one_head_of_a_stack_raises():
@@ -402,13 +429,12 @@ def mixed_stack():
 
 def test_stacked_step_gradient_matches_registry_chain_per_head():
     models, feats, labels, idx, state = mixed_stack()
-    losses, hits = state.loss_grad(idx)
+    losses = state.loss_grad(idx)
     assert sorted(state.grads) == ["classifier_b", "classifier_w",
                                    "mix_bias", "mix_weights"]
     for i, model in enumerate(models):
         want_loss, want = registry_gradients(model, feats, labels, idx)
         assert losses[i] == pytest.approx(want_loss, rel=1e-12)
-        assert 0 <= hits[i] <= len(idx)
         got = {key: state.grads[key][i] for key in ("classifier_w",
                                                    "classifier_b")}
         if model.mix is None:
@@ -443,9 +469,9 @@ def test_stacked_step_gradient_matches_central_differences_per_head():
                     continue
                 old = param[i][j]
                 param[i][j] = old + h
-                up, _ = state.loss_acc(idx)
+                up = state.loss(idx)
                 param[i][j] = old - h
-                down, _ = state.loss_acc(idx)
+                down = state.loss(idx)
                 param[i][j] = old
                 numeric[j] = (up[i] - down[i]) / (2.0 * h)
             scale = np.abs(analytic[i]).max()
