@@ -22,7 +22,7 @@ from .tensor import (
     upsample_bilinear,
 )
 from .lacunarity import (
-    DbcStats,
+    BASELINE_POOLS,
     LacunarityConfig,
     PyramidDepthError,
     base_lacunarity,
@@ -48,7 +48,6 @@ from .gradcheck import (
     run_gradient_suite,
 )
 from .model import (
-    BASELINE_POOLS,
     FeatureFileError,
     FrozenBackbone,
     FusionModel,

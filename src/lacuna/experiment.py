@@ -13,8 +13,10 @@ serialize to a fixed-format text file: rerunning the same config writes
 byte-identical bytes.
 
 Configs are INI files (configparser) with an [experiment] section and an
-optional [train] section; see configs/heterogeneity.ini.  A run reads its
-seeds from the config alone, never from the environment.
+optional [train] section; see configs/heterogeneity.ini.  An unknown
+section or key is an error, and each method's `lacunarity.scale_planes`
+runs once on a zero map of the features' size before any image is drawn.
+A run reads its seeds from the config alone, never from the environment.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lacunarity import METHODS as LACUNARITY_METHODS, LacunarityConfig
+from .lacunarity import METHODS, LacunarityConfig, scale_planes
 from .metrics import fisher_discriminant_ratio, summarize_log_fdr
-from .model import BASELINE_POOLS, FrozenBackbone, FusionModel, _backbone_block
+from .model import FrozenBackbone, FusionModel, _backbone_block
 from .textures import heterogeneity_dataset, toy_dataset
 from .train import EvalReport, TrainConfig, TrainResult, confusion_report, train_heads
 
-METHODS = LACUNARITY_METHODS + BASELINE_POOLS
 DATASETS = ("heterogeneity", "toy")
 
 
@@ -77,24 +78,50 @@ class ExperimentConfig:
         if self.backbone_channels < 1:
             raise ExperimentConfigError("backbone_channels must be >= 1")
         # the backbone's geometry does not depend on its width
-        _, _, h, w = FrozenBackbone.make(channels=1).feature_shape(
+        shape = FrozenBackbone.make(channels=1).feature_shape(
             1, self.image_size, self.image_size)
         for m in self.methods:
             try:
-                pooling = pooling_for(self, m)
-                if not isinstance(pooling, str):
-                    pooling.check_map_size(h, w)
+                scale_planes(np.zeros(shape), pooling_for(self, m))
             except ValueError as exc:
                 raise ExperimentConfigError(
-                    f"method {m} on {h}x{w} features: {exc}") from exc
+                    f"method {m} on {shape[2]}x{shape[3]} features: {exc}") from exc
+
+
+def _words(raw: str) -> tuple[str, ...]:
+    return tuple(tok for tok in re.split(r"[,\s]+", raw) if tok)
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in re.split(r"[,\s]+", raw.strip()) if tok)
+    return tuple(int(tok) for tok in _words(raw))
+
+
+# every key each section takes, and how its value is read
+_KEYS = {
+    "experiment": {"methods": _words, "dataset": str, "classes": int,
+                   "samples_per_class": int, "image_size": int,
+                   "seeds": _int_tuple, "backbone_channels": int, "scales": int,
+                   "dilations": _int_tuple, "output": str},
+    "train": {"batch_size": int, "learning_rate": float, "max_epochs": int,
+              "early_stop_patience": int},
+}
+
+
+def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
+    """A section's values, [DEFAULT]'s included, each read by its key's cast."""
+    casts = _KEYS[section]
+    values = {}
+    for key, raw in parser[section].items():
+        if key not in casts:
+            where = parser.default_section if key in parser.defaults() else section
+            raise ExperimentConfigError(f"unknown key {key!r} in [{where}]")
+        values[key] = casts[key](raw)
+    return values
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse an INI experiment config; all failures raise ExperimentConfigError."""
+    """Parse an INI experiment config; all failures raise ExperimentConfigError,
+    an unknown section or key among them."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -105,30 +132,13 @@ def load_config(path: str) -> ExperimentConfig:
         raise ExperimentConfigError(f"cannot parse config: {exc}") from exc
     if not parser.has_section("experiment"):
         raise ExperimentConfigError("config needs an [experiment] section")
-    exp = parser["experiment"]
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ExperimentConfigError(f"unknown section [{section}]")
     try:
-        kwargs = {
-            "methods": tuple(
-                tok for tok in re.split(r"[,\s]+", exp.get("methods", "")) if tok),
-        }
-        for key, cast in (("dataset", str), ("classes", int),
-                          ("samples_per_class", int), ("image_size", int),
-                          ("backbone_channels", int), ("scales", int),
-                          ("output", str)):
-            if key in exp:
-                kwargs[key] = cast(exp[key])
-        if "seeds" in exp:
-            kwargs["seeds"] = _int_tuple(exp["seeds"])
-        if "dilations" in exp:
-            kwargs["dilations"] = _int_tuple(exp["dilations"])
+        kwargs = {"methods": (), **_read_section(parser, "experiment")}
         if parser.has_section("train"):
-            tr = parser["train"]
-            tkwargs = {}
-            for key, cast in (("batch_size", int), ("learning_rate", float),
-                              ("max_epochs", int), ("early_stop_patience", int)):
-                if key in tr:
-                    tkwargs[key] = cast(tr[key])
-            kwargs["train"] = TrainConfig(**tkwargs)
+            kwargs["train"] = TrainConfig(**_read_section(parser, "train"))
         return ExperimentConfig(**kwargs)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ExperimentConfigError):
@@ -159,14 +169,13 @@ class ExperimentResult:
     summaries: tuple[MethodSummary, ...]
 
 
-def pooling_for(cfg: ExperimentConfig, method: str) -> LacunarityConfig | str:
-    if method in BASELINE_POOLS:
-        return method
-    if method == "base":
-        return LacunarityConfig(method="base")
+def pooling_for(cfg: ExperimentConfig, method: str) -> LacunarityConfig:
+    """dbc takes the config's dilations, multiscale its scales, the rest defaults."""
     if method == "dbc":
         return LacunarityConfig(method="dbc", dilation_set=cfg.dilations)
-    return LacunarityConfig(method="multiscale", scales=cfg.scales)
+    if method == "multiscale":
+        return LacunarityConfig(method="multiscale", scales=cfg.scales)
+    return LacunarityConfig(method=method)
 
 
 def _dataset(cfg: ExperimentConfig, seed: int, start: int, stop: int

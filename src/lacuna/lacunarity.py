@@ -1,4 +1,4 @@
-"""Lacunarity pooling operators.
+"""Lacunarity pooling operators, and the one table of pooling methods.
 
 Three ways to turn a feature map into a gappiness measure:
 
@@ -12,6 +12,9 @@ Three ways to turn a feature map into a gappiness measure:
 
 Inputs are optionally squashed to pixel range first (:func:`tanh_scale`) so
 feature values of any magnitude land in (0, 255).
+
+:func:`scale_planes` is the only code that turns a method name into planes,
+for these three methods and the avg/max/l2 pooling baselines.
 
 Each operator allocates only its own output and a few working maps: it never
 writes into its arguments, and arithmetic on an array it allocated runs in
@@ -36,6 +39,8 @@ from .tensor import (
     _window_cells,
     as_feature_map,
     mix_scales,
+    pool_avg,
+    pool_l2,
     pool_max,
     pool_min,
     pool_sum,
@@ -47,7 +52,8 @@ class PyramidDepthError(ValueError):
     """Requested more pyramid levels than the spatial dims can support."""
 
 
-METHODS = ("base", "dbc", "multiscale")
+BASELINE_POOLS = ("avg", "max", "l2")
+METHODS = ("base", "dbc", "multiscale") + BASELINE_POOLS
 
 # box-counting window when none is configured: its second stage glides over
 # the heights map, so one global window would leave nothing to glide over
@@ -56,16 +62,17 @@ DBC_DEFAULT_WINDOW = PoolSpec.square(3, stride=1)
 
 @dataclass(frozen=True)
 class LacunarityConfig:
-    """Method selector plus the knobs shared by the operators.
+    """Pooling method selector plus the knobs shared by the operators.
 
     `window=None` picks the method's default window (`resolve_window`): a
     3x3 stride-1 window for the box-counting method, which needs maps of at
     least 3x3; otherwise one window covering the whole spatial extent of
     whatever map the operator is applied to (for the multi-scale method, of
-    each pyramid level).  `dilation_set` only matters for the box-counting
-    method, `scales` only for the multi-scale one.  `normalize_input`
-    controls the tanh squashing; the box-counting method requires it since
-    its box heights are defined on the 0..255 range.
+    each pyramid level).  `dilation_set` and `clamp_heights` only matter for
+    the box-counting method, `scales` only for the multi-scale one.
+    `normalize_input` controls the tanh squashing; the box-counting method
+    requires it since its box heights are defined on the 0..255 range.  The
+    avg/max/l2 baselines read the window alone and never squash.
     """
 
     method: str = "base"
@@ -95,9 +102,9 @@ class LacunarityConfig:
 
     @property
     def scale_count(self) -> int:
-        """Scale planes per channel: pyramid levels, dilations, or 1 for base."""
-        return {"base": 1, "dbc": len(self.dilation_set),
-                "multiscale": self.scales}[self.method]
+        """Scale planes per channel: pyramid levels, dilations, else 1."""
+        return {"dbc": len(self.dilation_set),
+                "multiscale": self.scales}.get(self.method, 1)
 
     def resolve_window(self, x: np.ndarray) -> PoolSpec:
         """The configured window, else the method's default for map `x`."""
@@ -106,20 +113,6 @@ class LacunarityConfig:
         if self.method == "dbc":
             return DBC_DEFAULT_WINDOW
         return PoolSpec.global_window(x.shape[2], x.shape[3])
-
-    def check_map_size(self, height: int, width: int) -> None:
-        """Raise what the method's planes raise on maps too small for them."""
-        if self.method == "dbc":
-            for r in self.dilation_set:
-                extremes, glide = _dbc_specs(self.window or DBC_DEFAULT_WINDOW, r)
-                glide.out_size(*extremes.out_size(height, width))
-            return
-        levels = self.scales if self.method == "multiscale" else 1
-        _check_depth(height, width, levels)
-        for _ in range(levels):
-            if self.window is not None:
-                self.window.out_size(height, width)
-            height, width = (height + 1) // 2, (width + 1) // 2
 
 
 def tanh_scale(x: np.ndarray) -> np.ndarray:
@@ -174,20 +167,6 @@ def base_lacunarity(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     return variance_ratio(x, cfg.resolve_window(x), cfg.epsilon)
 
 
-@dataclass
-class DbcStats:
-    """Box-counting intermediates for one dilation factor.
-
-    `heights` holds the per-position relative column heights v - u - 1 (v, u
-    the box indices of the window max and min), `mass` their window sums and
-    `occupancy` their window averages, so mass == kernel_area * occupancy.
-    """
-
-    heights: np.ndarray
-    mass: np.ndarray
-    occupancy: np.ndarray
-
-
 def _dbc_specs(window: PoolSpec, r: int) -> tuple[PoolSpec, PoolSpec]:
     """The dilation-r extremes pool and the glide pool over its heights."""
     extremes = PoolSpec(window.kernel_h, window.kernel_w,
@@ -207,17 +186,16 @@ def box_index(g: np.ndarray, r: int) -> np.ndarray:
 
 
 def dbc_column_heights(x: np.ndarray, r: int, window: PoolSpec,
-                       clamp_heights: bool = False) -> DbcStats:
+                       clamp_heights: bool = False) -> np.ndarray:
     """Stack height-r boxes over each window and measure the column span.
 
-    `x` must already be scaled into [0, 255].  The extremes are taken with
-    dilation-r max/min pooling padded so the heights map keeps the dims the
-    dilation-1 case would give (padding cells are identity values for
-    max/min and never touch the statistics); this keeps the per-dilation
-    lacunarity planes stackable.  Kernel dims must be odd for that padding
-    to be symmetric.  The masses and occupancies then come from unpadded
-    sum pooling of the heights with the same kernel and stride, the
-    occupancies being the masses over the kernel area.
+    Returns the per-position relative column heights v - u - 1 (v, u the
+    box indices of the window max and min).  `x` must already be scaled
+    into [0, 255].  The extremes are taken with dilation-r max/min pooling
+    padded so the heights map keeps the dims the dilation-1 case would give
+    (padding cells are identity values for max/min and never touch the
+    statistics); this keeps the per-dilation lacunarity planes stackable.
+    Kernel dims must be odd for that padding to be symmetric.
     """
     if r < 1:
         raise ValueError("dilation factor r must be >= 1")
@@ -226,25 +204,25 @@ def dbc_column_heights(x: np.ndarray, r: int, window: PoolSpec,
     if window.kernel_h % 2 == 0:
         raise ValueError("box-counting windows must have odd kernel dims")
     x = as_feature_map(x)
-    extremes_spec, glide_spec = _dbc_specs(window, r)
+    extremes_spec, _ = _dbc_specs(window, r)
     heights = box_index(pool_max(x, extremes_spec), r)
     heights -= box_index(pool_min(x, extremes_spec), r)
     heights -= 1.0
     if clamp_heights:
         np.maximum(heights, 1.0, out=heights)
-    mass = pool_sum(heights, glide_spec)
-    return DbcStats(heights=heights, mass=mass, occupancy=mass / glide_spec.area)
+    return heights
 
 
-def dbc_plane(stats: DbcStats, epsilon: float,
+def dbc_plane(mass: np.ndarray, area: int, epsilon: float,
               out: np.ndarray | None = None) -> np.ndarray:
-    """Lacunarity plane for one dilation: mass^2 * occ / (mass * occ + eps)^2,
-    written into `out` when given."""
-    m, q = stats.mass, stats.occupancy
-    den = m * q
+    """Lacunarity plane for one dilation from `mass`, the heights' sums over
+    windows of `area` cells: mass^2 * occ / (mass * occ + eps)^2 with the
+    occupancy occ = mass / area, written into `out` when given."""
+    q = mass / area
+    den = mass * q
     den += epsilon
     np.square(den, out=den)
-    out = np.multiply(m, m, out=out)
+    out = np.multiply(mass, mass, out=out)
     out *= q
     out /= den
     return out
@@ -255,6 +233,8 @@ def dbc_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
 
     Output has C * len(dilation_set) channels; channel c's planes sit at
     indices c*R .. c*R+R-1 in dilation order.  Input is tanh-scaled here.
+    Each dilation's masses are the unpadded sum pooling of its heights with
+    the window's kernel and stride.
     """
     if cfg.method != "dbc":
         raise ValueError(f"config method is {cfg.method!r}, expected 'dbc'")
@@ -262,13 +242,13 @@ def dbc_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     window = cfg.resolve_window(x)
     stacked = None  # (N, C, R, H', W'), sized by the first dilation's masses
     for i, r in enumerate(cfg.dilation_set):
-        stats = dbc_column_heights(x, r, window, cfg.clamp_heights)
-        stats.heights = None  # the plane needs only masses and occupancies
+        _, glide = _dbc_specs(window, r)
+        mass = pool_sum(dbc_column_heights(x, r, window, cfg.clamp_heights), glide)
         if stacked is None:
-            n, c, h, w = stats.mass.shape
+            n, c, h, w = mass.shape
             stacked = np.empty((n, c, len(cfg.dilation_set), h, w))
-        dbc_plane(stats, cfg.epsilon, out=stacked[:, :, i])
-        del stats  # before the next dilation's heights are built
+        dbc_plane(mass, glide.area, cfg.epsilon, out=stacked[:, :, i])
+        del mass  # before the next dilation's heights are built
     return stacked.reshape(stacked.shape[0], -1, *stacked.shape[3:])
 
 
@@ -315,15 +295,6 @@ def _blur_binomial5(x: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def _check_depth(height: int, width: int, levels: int) -> None:
-    """Raise PyramidDepthError unless a height x width map has `levels` levels."""
-    if levels < 1:
-        raise PyramidDepthError("levels must be >= 1")
-    if min(height, width) < 2 ** (levels - 1):
-        raise PyramidDepthError(
-            f"{height}x{width} input cannot support {levels} pyramid levels")
-
-
 def gaussian_pyramid(x: np.ndarray, levels: int) -> list[np.ndarray]:
     """Recursive blur-then-decimate pyramid; level 1 is the input itself.
 
@@ -336,7 +307,11 @@ def gaussian_pyramid(x: np.ndarray, levels: int) -> list[np.ndarray]:
     halvings than the input supports (dims must be >= 2**(levels - 1)).
     """
     x = as_feature_map(x)
-    _check_depth(x.shape[2], x.shape[3], levels)
+    if levels < 1:
+        raise PyramidDepthError("levels must be >= 1")
+    if min(x.shape[2:]) < 2 ** (levels - 1):
+        raise PyramidDepthError(
+            f"{x.shape[2]}x{x.shape[3]} input cannot support {levels} pyramid levels")
     out = [x]
     for _ in range(levels - 1):
         out.append(_blur_binomial5(out[-1], 2))
@@ -393,8 +368,12 @@ def _mixed(planes: np.ndarray, cfg: LacunarityConfig,
 
 def scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     """`cfg.method`'s (N, C*S, H', W') planes, S = cfg.scale_count: the one
-    method dispatch.  The table is built per call, so a wrapped or patched
-    operator is the one that runs."""
+    method dispatch.  A baseline pools the raw map over `resolve_window`,
+    the whole map unless a window is set.  The tables are built per call,
+    so a wrapped or patched operator or pool is the one that runs."""
+    pools = {"avg": pool_avg, "max": pool_max, "l2": pool_l2}
+    if cfg.method in pools:
+        return pools[cfg.method](x, cfg.resolve_window(x))
     return {"base": base_lacunarity, "dbc": dbc_scale_planes,
             "multiscale": multiscale_scale_planes}[cfg.method](x, cfg)
 

@@ -3,9 +3,9 @@
 A frozen backbone (a small fixed-seed stride-2 convolution stack) turns
 images into feature maps once, a block of images at a time.  Everything
 after that takes the feature tensor.  The fusion head reduces it once, to
-the spatial means of its pooling branch's S scale planes (a lacunarity
-operator; S = 1 for base and the avg/max/l2 baselines), built a block of
-samples at a time, and of the features themselves (GAP).  One head
+the spatial means of its pooling branch's S scale planes (any method of
+`lacunarity.scale_planes`; S = 1 for base and the avg/max/l2 baselines),
+built a block of samples at a time, and of the features themselves (GAP).  One head
 function, which training runs over a stack of heads and `FusionModel.head`
 (the model's only forward) over a stack of one, then mixes the scales (a
 frozen identity mix when the branch has one plane), multiplies the two
@@ -36,12 +36,7 @@ from .tensor import (
     _window_cells,
     as_feature_map,
     gap,
-    pool_avg,
-    pool_l2,
-    pool_max,
 )
-
-BASELINE_POOLS = ("avg", "max", "l2")
 
 
 class FeatureFileError(ValueError):
@@ -290,22 +285,20 @@ def _head(pooled, gapped, classifier_w, classifier_b, mix_weights, mix_bias):
 class FusionModel:
     """Pooling branch x GAP branch + linear classifier over feature maps.
 
-    `pooling` is either a LacunarityConfig or one of the baseline selector
-    strings ("avg", "max", "l2").  `mix` is present exactly when the pooling
-    branch stacks several scale planes (multiscale or box-counting); it and
-    the classifier weights form the whole trainable set.
+    `pooling` is the LacunarityConfig of any of the six methods.  `mix` is
+    present exactly when the pooling branch stacks scale planes (multiscale
+    or box-counting); it and the classifier weights form the whole
+    trainable set.
     """
 
-    pooling: LacunarityConfig | str
+    pooling: LacunarityConfig
     classifier_w: np.ndarray
     classifier_b: np.ndarray
     mix: GroupedMixWeights | None = None
 
     def __post_init__(self):
-        if isinstance(self.pooling, str) and self.pooling not in BASELINE_POOLS:
-            raise ValueError(
-                f"baseline pooling must be one of {BASELINE_POOLS}, got {self.pooling!r}"
-            )
+        if not isinstance(self.pooling, LacunarityConfig):
+            raise TypeError(f"pooling must be a LacunarityConfig, got {self.pooling!r}")
         self.classifier_w = np.array(self.classifier_w, dtype=np.float64)
         self.classifier_b = np.array(self.classifier_b, dtype=np.float64)
         if self.classifier_b.shape != self.classifier_w.shape[:1]:
@@ -316,23 +309,22 @@ class FusionModel:
                                      f"slots, branch makes {self.scale_count}")
 
     @classmethod
-    def build(cls, channels: int, pooling: LacunarityConfig | str,
+    def build(cls, channels: int, pooling: LacunarityConfig,
               num_classes: int, seed: int = 0) -> "FusionModel":
         """Head for C-channel features: centered-uniform 1/sqrt(C) init, bias 0."""
         if num_classes < 2:
             raise ValueError("need at least two classes")
         rng = np.random.default_rng(seed)
         w = rng.uniform(-1.0, 1.0, size=(num_classes, channels)) / np.sqrt(channels)
-        b = np.zeros(num_classes)
-        mix = None
-        if not isinstance(pooling, str) and pooling.method != "base":
-            mix = GroupedMixWeights.uniform(channels, pooling.scale_count)
-        return cls(pooling=pooling, classifier_w=w, classifier_b=b, mix=mix)
+        model = cls(pooling=pooling, classifier_w=w, classifier_b=np.zeros(num_classes))
+        if pooling.method in ("dbc", "multiscale"):
+            model.mix = GroupedMixWeights.uniform(channels, pooling.scale_count)
+        return model
 
     @property
     def scale_count(self) -> int:
         """Scale planes S per channel of the pooling branch."""
-        return 1 if isinstance(self.pooling, str) else self.pooling.scale_count
+        return self.pooling.scale_count
 
     def trainable_param_count(self) -> int:
         mix = 0 if self.mix is None else self.mix.param_count()
@@ -347,9 +339,6 @@ class FusionModel:
 
     def scale_planes(self, feats: np.ndarray) -> np.ndarray:
         """Mix-independent (N, C*S, H', W') branch planes; S = 1 unless it mixes."""
-        if isinstance(self.pooling, str):
-            op = {"avg": pool_avg, "max": pool_max, "l2": pool_l2}[self.pooling]
-            return op(feats, PoolSpec.global_window(feats.shape[2], feats.shape[3]))
         return scale_planes(feats, self.pooling)
 
     def pooled(self, feats: np.ndarray) -> np.ndarray:

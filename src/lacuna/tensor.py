@@ -2,10 +2,11 @@
 
 Everything downstream (lacunarity operators, the fusion model) is composed
 from the primitives in this module.  Feature maps are plain numpy arrays of
-shape (batch, channel, height, width), dtype float64; :func:`as_feature_map`
-is the single entry point that enforces that contract.  Operators allocate
-their outputs and never write into their arguments; in-place arithmetic only
-touches arrays the operator allocated itself.
+shape (batch, channel, height, width), dtype float64 and finite;
+:func:`as_feature_map` is the single entry point that enforces that
+contract, and only :func:`mix_scales` lets its planes hold +-inf.
+Operators allocate their outputs and never write into their arguments;
+in-place arithmetic only touches arrays the operator allocated itself.
 
 All reductions accumulate window cells in row-major order within the window,
 so results are bit-reproducible across runs.  :func:`_window_cells` is the one
@@ -30,6 +31,14 @@ def as_feature_map(x, name: str = "x") -> np.ndarray:
     Raises ShapeMismatchError on wrong rank or empty dimensions, and
     ValueError if any value is non-finite.
     """
+    arr = _as_nchw(x, name)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains NaN or Inf")
+    return arr
+
+
+def _as_nchw(x, name: str) -> np.ndarray:
+    """`as_feature_map` without the finiteness check."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 4:
         raise ShapeMismatchError(
@@ -37,8 +46,6 @@ def as_feature_map(x, name: str = "x") -> np.ndarray:
         )
     if min(arr.shape) < 1:
         raise ShapeMismatchError(f"{name} has an empty dimension: {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or Inf")
     return arr
 
 
@@ -251,9 +258,12 @@ def mix_scales(stacked: np.ndarray, mix: GroupedMixWeights) -> np.ndarray:
     `stacked` carries channel c's S planes contiguously at indices
     c*S .. c*S+S-1; output channel c is their mix-weighted sum plus bias,
     accumulated from +0.0 in scale order, so each output cell depends only
-    on its own S products whatever the map's size.
+    on its own S products whatever the map's size.  Planes may hold the
+    +-inf a lacunarity operator documents, but no NaN.
     """
-    stacked = as_feature_map(stacked, "stacked")
+    stacked = _as_nchw(stacked, "stacked")
+    if np.isnan(stacked).any():
+        raise ValueError("stacked contains NaN")
     c, s = mix.channels, mix.scales
     if stacked.shape[1] != c * s:
         raise ShapeMismatchError(

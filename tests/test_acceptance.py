@@ -106,7 +106,7 @@ def test_pooling_and_box_heights_match_bruteforce():
         window = PoolSpec.square(kernel, stride=stride,
                                  padding=r * (kernel - 1) // 2,
                                  dilation=r)
-        got = dbc_column_heights(x, r, window).heights
+        got = dbc_column_heights(x, r, window)
         want = ref_dbc_heights(x, r, kernel, stride)
         assert np.array_equal(got, want)
     elapsed = time.perf_counter() - start
@@ -161,7 +161,7 @@ def test_training_smoke_multiscale_beats_averaging():
         feats = FrozenBackbone.make(seed=seed, channels=16).features(images)
         for method, pooling in (
             ("multiscale", LacunarityConfig(method="multiscale", scales=2)),
-            ("avg", "avg"),
+            ("avg", LacunarityConfig(method="avg")),
         ):
             model = FusionModel.build(16, pooling, 3, seed=seed)
             cfg = TrainConfig(max_epochs=100, early_stop_patience=10,

@@ -22,7 +22,7 @@ from lacuna.lacunarity import (
     variance_ratio,
 )
 from lacuna.pgm import write_pgm
-from lacuna.tensor import GroupedMixWeights, PoolSpec, mix_scales
+from lacuna.tensor import GroupedMixWeights, PoolSpec, mix_scales, pool_sum
 
 
 def _maps(bound=None):
@@ -55,6 +55,13 @@ def _column_args(x, data):
             PoolSpec.square(3, stride=1), data.draw(st.booleans()))
 
 
+def _plane_args(x, data):
+    """dbc_plane's arguments: one dilation's masses and its window's area."""
+    args = _column_args(x, data)
+    window = args[2]
+    return pool_sum(dbc_column_heights(*args), window), window.area
+
+
 # each case: (map bound, draw the call's arguments, run the call)
 CASES = {
     "tanh_scale": (None, lambda x, data: (x,), tanh_scale),
@@ -63,8 +70,8 @@ CASES = {
     "box_index": (None, lambda x, data: (tanh_scale(x), data.draw(st.integers(1, 9))),
                   box_index),
     "dbc_column_heights": (None, _column_args, dbc_column_heights),
-    "dbc_plane": (None, lambda x, data: (dbc_column_heights(*_column_args(x, data)),),
-                  lambda stats: dbc_plane(stats, 1e-6)),
+    "dbc_plane": (None, _plane_args,
+                  lambda mass, area: dbc_plane(mass, area, 1e-6)),
     "dbc_scale_planes": (None, lambda x, data: (x,),
                          lambda x: dbc_scale_planes(x, LacunarityConfig(method="dbc"))),
     "base_lacunarity": (

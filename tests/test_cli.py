@@ -230,6 +230,26 @@ def test_experiment_bad_config_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("edit, named", [
+    (("backbone_channels = 4", "backbone_chanels = 4"),
+     "'backbone_chanels' in [experiment]"),
+    (("max_epochs = 2", "max_epoch = 2"), "'max_epoch' in [train]"),
+    (("[train]", "[trian]"), "section [trian]"),
+    (("[experiment]", "[DEFAULT]\nbatch = 4\n[experiment]"), "'batch' in [DEFAULT]"),
+], ids=["experiment-key", "train-key", "section", "default-key"])
+def test_experiment_config_unknown_key_or_section_exits_1(tmp_path, capsys, edit,
+                                                           named):
+    text = TOY_INI.format(out=tmp_path / "results.txt")
+    assert edit[0] in text
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text.replace(*edit))
+    assert cli.main(["experiment", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and err.count("\n") == 1, err
+    assert named in err
+    assert not (tmp_path / "results.txt").exists()
+
+
 @pytest.mark.parametrize("methods, setting", [
     ("avg", "backbone_channels = 0"),
     ("multiscale", "scales = 0"),

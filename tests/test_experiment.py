@@ -112,7 +112,7 @@ def test_load_config_missing_file(tmp_path):
 
 def test_pooling_for_mapping(tmp_path):
     cfg = toy_config(tmp_path, dilations=(1, 2), scales=3)
-    assert pooling_for(cfg, "avg") == "avg"
+    assert pooling_for(cfg, "avg") == LacunarityConfig(method="avg")
     assert pooling_for(cfg, "base") == LacunarityConfig(method="base")
     dbc = pooling_for(cfg, "dbc")
     assert dbc.method == "dbc" and dbc.dilation_set == (1, 2)

@@ -4,12 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lacuna import lacunarity
 from lacuna.lacunarity import (
-    DbcStats,
     LacunarityConfig,
     PyramidDepthError,
     base_lacunarity,
@@ -25,7 +24,15 @@ from lacuna.lacunarity import (
     tanh_scale,
     variance_ratio,
 )
-from lacuna.tensor import GroupedMixWeights, PoolSpec, mix_scales, pool_max
+from lacuna.tensor import (
+    GroupedMixWeights,
+    PoolSpec,
+    mix_scales,
+    pool_avg,
+    pool_l2,
+    pool_max,
+    pool_sum,
+)
 
 from _reference import (
     ref_blur_decimate,
@@ -302,19 +309,19 @@ def test_column_heights_worked_window():
     x = np.full((1, 1, 21, 21), 20.0)
     x[0, 0, 0, 0] = 5.0
     x[0, 0, 10, 10] = 35.0
-    stats = dbc_column_heights(x, r=10, window=PoolSpec.square(3, stride=1))
-    assert stats.heights.shape == (1, 1, 21, 21)
+    heights = dbc_column_heights(x, r=10, window=PoolSpec.square(3, stride=1))
+    assert heights.shape == (1, 1, 21, 21)
     # the center window samples rows/cols {0, 10, 20}, catching both extremes
-    assert stats.heights[0, 0, 10, 10] == 2.0
+    assert heights[0, 0, 10, 10] == 2.0
 
 
 def test_column_heights_flat_window_and_clamp():
     x = np.full((1, 1, 5, 5), 100.0)
     spec = PoolSpec.square(3, stride=1)
     raw = dbc_column_heights(x, r=4, window=spec)
-    assert np.all(raw.heights == -1.0)
+    assert np.all(raw == -1.0)
     clamped = dbc_column_heights(x, r=4, window=spec, clamp_heights=True)
-    assert np.all(clamped.heights == 1.0)
+    assert np.all(clamped == 1.0)
 
 
 def test_column_heights_rejects_even_or_nonsquare_windows():
@@ -338,22 +345,19 @@ def test_column_heights_rejects_even_or_nonsquare_windows():
 def test_column_heights_match_oracle(seed, r, stride, h, w):
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 256, size=(1, 2, h, w)).astype(np.float64)
-    stats = dbc_column_heights(x, r=r, window=PoolSpec.square(3, stride=stride))
+    heights = dbc_column_heights(x, r=r, window=PoolSpec.square(3, stride=stride))
     ref = ref_dbc_heights(x, r, 3, stride)
-    assert np.array_equal(stats.heights, ref)
+    assert np.array_equal(heights, ref)
     # heights are integers in [-1, number of boxes spanning 0..255]
-    assert np.all(stats.heights == np.floor(stats.heights))
-    assert stats.heights.min() >= -1.0
-    assert stats.heights.max() <= np.floor(255.0 / r) + 1.0
+    assert np.all(heights == np.floor(heights))
+    assert heights.min() >= -1.0
+    assert heights.max() <= np.floor(255.0 / r) + 1.0
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 3))
-def test_mass_is_area_times_occupancy(seed, r):
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, 256, size=(1, 1, 8, 8)).astype(np.float64)
-    stats = dbc_column_heights(x, r=r, window=PoolSpec.square(3, stride=1))
-    assert np.array_equal(stats.mass, 9.0 * stats.occupancy)
+def _plane(x, r, window, epsilon):
+    """dbc_plane of one dilation's masses under a stride-1 unpadded window."""
+    heights = dbc_column_heights(x, r, window)
+    return dbc_plane(pool_sum(heights, window), window.area, epsilon)
 
 
 @settings(max_examples=30, deadline=None)
@@ -361,8 +365,7 @@ def test_mass_is_area_times_occupancy(seed, r):
 def test_dbc_plane_matches_oracle(seed, r):
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 256, size=(1, 2, 7, 7)).astype(np.float64)
-    stats = dbc_column_heights(x, r=r, window=PoolSpec.square(3, stride=1))
-    lib = dbc_plane(stats, epsilon=1e-6)
+    lib = _plane(x, r, PoolSpec.square(3, stride=1), 1e-6)
     ref = ref_dbc_lacunarity_plane(x, r, 3, 1, 1e-6)
     assert np.allclose(lib, ref, rtol=1e-12, atol=1e-12)
 
@@ -376,8 +379,7 @@ def test_dbc_scale_planes_layout():
     xs = tanh_scale(x)
     for c in range(2):
         for ri, r in enumerate((1, 2, 3)):
-            single = dbc_plane(
-                dbc_column_heights(xs[:, c:c + 1], r, cfg.window), cfg.epsilon)
+            single = _plane(xs[:, c:c + 1], r, cfg.window, cfg.epsilon)
             assert np.array_equal(planes[:, c * 3 + ri], single[:, 0])
 
 
@@ -386,7 +388,7 @@ def test_dbc_lacunarity_single_dilation_is_identity_mix():
     cfg = LacunarityConfig(method="dbc", window=PoolSpec.square(3, stride=1),
                            dilation_set=(2,))
     out = dbc_lacunarity(x, cfg)
-    raw = dbc_plane(dbc_column_heights(tanh_scale(x), 2, cfg.window), cfg.epsilon)
+    raw = _plane(tanh_scale(x), 2, cfg.window, cfg.epsilon)
     assert out.shape == raw.shape
     assert np.allclose(out, raw, rtol=0, atol=0)
 
@@ -408,7 +410,7 @@ def test_dbc_output_dims_shared_across_dilations():
     for stride in (1, 2):
         spec = PoolSpec.square(3, stride=stride)
         shapes = {
-            dbc_column_heights(x, r, spec).heights.shape for r in (1, 2, 3, 5)
+            dbc_column_heights(x, r, spec).shape for r in (1, 2, 3, 5)
         }
         assert len(shapes) == 1
 
@@ -452,28 +454,6 @@ def test_pyramid_depth_errors():
     with pytest.raises(PyramidDepthError):
         gaussian_pyramid(x, 0)
     assert len(gaussian_pyramid(x, 1)) == 1
-
-
-@pytest.mark.parametrize("cfg", [
-    LacunarityConfig(),
-    LacunarityConfig(window=PoolSpec(2, 3, 1, 2)),
-    LacunarityConfig(method="dbc"),
-    LacunarityConfig(method="dbc", dilation_set=(1, 3),
-                     window=PoolSpec.square(3, stride=2)),
-    LacunarityConfig(method="multiscale", scales=3),
-    LacunarityConfig(method="multiscale", window=PoolSpec.square(3, stride=1)),
-])
-def test_check_map_size_raises_where_the_planes_do(cfg):
-    for h in range(1, 10):
-        for w in range(1, 10):
-            x = _maps(h * 10 + w, n=1, c=1, h=h, w=w)
-            try:
-                lacunarity.scale_planes(x, cfg)
-            except ValueError as exc:
-                with pytest.raises(type(exc)):
-                    cfg.check_map_size(h, w)
-            else:
-                cfg.check_map_size(h, w)
 
 
 @settings(max_examples=30, deadline=None)
@@ -528,9 +508,15 @@ def _gliding_cases(draw):
     return x, cfg, step
 
 
+_BIG = np.finfo(np.float64).max
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @settings(max_examples=60, deadline=None)
 @given(case=_gliding_cases())
+# the window's squares overflow, so its plane is the documented +inf
+@example(case=(np.array([[[[_BIG, -_BIG]]]]),
+               LacunarityConfig(window=PoolSpec(1, 2), normalize_input=False), 1))
 def test_heatmap_strips_equal_the_one_pass_map(rows, case):
     x, cfg, step = case
     n, c, _, w = x.shape
@@ -650,6 +636,36 @@ def test_scale_planes_dispatches_on_the_method(cfg):
     planes = lacunarity.scale_planes(x, cfg)
     assert planes.shape[1] == 3 * cfg.scale_count
     assert np.array_equal(planes, want)
+
+
+def test_multiscale_mixes_the_inf_of_its_finest_level():
+    x = np.zeros((1, 1, 4, 4))
+    x[0, 0, 0, :2] = _BIG, -_BIG
+    cfg = LacunarityConfig(method="multiscale", window=PoolSpec(1, 2),
+                           normalize_input=False)
+    planes = multiscale_scale_planes(x, cfg)
+    assert planes[0, 0, 0, 0] == math.inf
+    assert np.isfinite(planes.ravel()[1:]).all()
+    out = multiscale_lacunarity(x, cfg)
+    want = mix_scales(planes, GroupedMixWeights.uniform(1, 2))
+    assert out[0, 0, 0, 0] == math.inf
+    assert out.tobytes() == want.tobytes()
+    assert lacunarity.heatmap(x, cfg).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method, pool", [
+    ("avg", pool_avg), ("max", pool_max), ("l2", pool_l2)])
+def test_scale_planes_pools_a_baseline_over_the_raw_map(method, pool):
+    # ReLU-like features: about half the cells are exactly 0
+    x = np.maximum(_maps(15, n=3, c=4, h=7, w=5, lo=-1.0, hi=1.0), 0.0)
+    assert (x == 0.0).any()
+    cfg = LacunarityConfig(method=method)
+    assert cfg.scale_count == 1
+    want = pool(x, PoolSpec.global_window(7, 5))
+    assert lacunarity.scale_planes(x, cfg).tobytes() == want.tobytes()
+    window = PoolSpec.square(2, stride=1)
+    assert (lacunarity.scale_planes(x, LacunarityConfig(method=method, window=window))
+            .tobytes() == pool(x, window).tobytes())
 
 
 @pytest.mark.parametrize("entry, method", [

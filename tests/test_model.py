@@ -11,9 +11,13 @@ from _memory import PEAK_SLACK, traced_peak
 from _reference import ref_backbone_features
 
 import lacuna
-from lacuna.lacunarity import DBC_DEFAULT_WINDOW, LacunarityConfig, base_lacunarity
-from lacuna.model import (
+from lacuna.lacunarity import (
     BASELINE_POOLS,
+    DBC_DEFAULT_WINDOW,
+    LacunarityConfig,
+    base_lacunarity,
+)
+from lacuna.model import (
     FeatureFileError,
     FrozenBackbone,
     FusionModel,
@@ -250,7 +254,8 @@ def test_feature_file_features_feed_the_head(tmp_path):
     path = str(tmp_path / "f.bin")
     write_feature_file(path, feats)
     loaded = read_feature_file(path)
-    model = FusionModel.build(loaded.shape[1], "avg", num_classes=2, seed=0)
+    model = FusionModel.build(loaded.shape[1], LacunarityConfig(method="avg"),
+                              num_classes=2, seed=0)
     assert model.classifier_w.shape == (2, 4)
     assert np.array_equal(loaded, feats)
     assert np.allclose(model.head(loaded[[2, 0]])[0], model.head(feats)[0][[2, 0]])
@@ -332,7 +337,7 @@ SELECTORS = {
     "base": LacunarityConfig(method="base"),
     "dbc": LacunarityConfig(method="dbc"),
     "multiscale": LacunarityConfig(method="multiscale", scales=2),
-    "avg": "avg", "max": "max", "l2": "l2",
+    **{name: LacunarityConfig(method=name) for name in BASELINE_POOLS},
 }
 
 
@@ -365,7 +370,7 @@ def test_pooled_peak_grows_only_with_its_output(name):
 
 
 def test_pooled_rejects_malformed_features():
-    model = FusionModel.build(4, "avg", num_classes=2, seed=0)
+    model = FusionModel.build(4, LacunarityConfig(method="avg"), num_classes=2, seed=0)
     for bad in (np.zeros((0, 4, 7, 7)), np.zeros((4, 7, 7)), np.zeros(3)):
         with pytest.raises(ShapeMismatchError):
             model.pooled(bad)
@@ -383,7 +388,7 @@ def fixture_feats(n=4, c=5, hw=7, seed=0):
 
 def test_avg_baseline_is_classifier_of_gap_squared():
     # avg pooling branch == GAP, so the fused product is gap(x)^2
-    model = FusionModel.build(5, "avg", num_classes=3, seed=1)
+    model = FusionModel.build(5, LacunarityConfig(method="avg"), num_classes=3, seed=1)
     feats = fixture_feats()
     g = gap(feats)[:, :, 0, 0]
     expected = linear_classifier(g * g, model.classifier_w, model.classifier_b)
@@ -419,11 +424,20 @@ def test_multiscale_model_has_mix_and_param_count():
 
 def test_baseline_model_has_no_mix():
     for name in BASELINE_POOLS:
-        model = FusionModel.build(8, name, num_classes=4, seed=0)
+        model = FusionModel.build(8, LacunarityConfig(method=name), num_classes=4,
+                                  seed=0)
         assert model.mix is None
         assert model.trainable_param_count() == 8 * 4 + 4
     with pytest.raises(ValueError):
-        FusionModel(pooling="median",
+        LacunarityConfig(method="median")
+
+
+@pytest.mark.parametrize("pooling", ["avg", None])
+def test_pooling_must_be_a_config(pooling):
+    with pytest.raises(TypeError, match="LacunarityConfig"):
+        FusionModel.build(4, pooling, num_classes=3, seed=0)
+    with pytest.raises(TypeError, match="LacunarityConfig"):
+        FusionModel(pooling=pooling,
                     classifier_w=np.zeros((2, 8)), classifier_b=np.zeros(2))
 
 
@@ -468,7 +482,7 @@ def test_mix_scale_slot_mismatch_rejected():
 
 def test_build_rejects_single_class():
     with pytest.raises(ValueError):
-        FusionModel.build(4, "avg", num_classes=1, seed=0)
+        FusionModel.build(4, LacunarityConfig(method="avg"), num_classes=1, seed=0)
 
 
 def test_predict_runs_end_to_end_on_images():

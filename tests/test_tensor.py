@@ -278,6 +278,16 @@ def test_mix_scales_channel_mismatch():
         mix_scales(fmap(1, 5, 2, 2), GroupedMixWeights.uniform(2, 2))
 
 
+def test_mix_scales_passes_inf_and_rejects_nan():
+    planes = np.ones((1, 2, 1, 2))
+    planes[0, 0, 0, 0] = np.inf
+    out = mix_scales(planes, GroupedMixWeights.uniform(1, 2))
+    assert out[0, 0, 0, 0] == np.inf and out[0, 0, 0, 1] == 1.0
+    planes[0, 1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        mix_scales(planes, GroupedMixWeights.uniform(1, 2))
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 6), st.integers(1, 4))
 def test_mix_param_count(c, s):

@@ -28,7 +28,8 @@ from lacuna.train import (
 )
 
 
-def toy_setup(pooling="avg", classes=3, n_per_class=10, seed=0, channels=6):
+def toy_setup(pooling=LacunarityConfig(method="avg"), classes=3, n_per_class=10,
+              seed=0, channels=6):
     images, labels = toy_dataset(classes, n_per_class, size=56, seed=seed)
     feats = FrozenBackbone.make(seed=seed, channels=channels).features(images)
     model = FusionModel.build(channels, pooling, classes, seed=seed)
@@ -142,7 +143,8 @@ def test_backbone_stays_frozen_through_training():
     images, labels = toy_dataset(3, 10, size=56, seed=0)
     backbone = FrozenBackbone.make(seed=0, channels=6)
     fingerprint = backbone.checksum()
-    model = FusionModel.build(backbone.out_channels, "avg", 3, seed=0)
+    model = FusionModel.build(backbone.out_channels, LacunarityConfig(method="avg"),
+                              3, seed=0)
     train(model, backbone.features(images), labels,
           TrainConfig(max_epochs=2, early_stop_patience=1))
     assert backbone.checksum() == fingerprint
@@ -185,9 +187,9 @@ METHOD_POOLS = {
     "base": LacunarityConfig(method="base"),
     "dbc": LacunarityConfig(method="dbc"),
     "multiscale": LacunarityConfig(method="multiscale", scales=2),
-    "avg": "avg",
-    "max": "max",
-    "l2": "l2",
+    "avg": LacunarityConfig(method="avg"),
+    "max": LacunarityConfig(method="max"),
+    "l2": LacunarityConfig(method="l2"),
 }
 HEADS = {name: METHOD_POOLS[name]
          for name in ("base", "avg", "dbc", "multiscale")}
