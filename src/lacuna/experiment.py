@@ -14,8 +14,9 @@ byte-identical bytes.
 
 Configs are INI files (configparser) with an [experiment] section and an
 optional [train] section; see configs/heterogeneity.ini.  An unknown
-section or key is an error, and each method's `lacunarity.scale_planes`
-runs once on a zero map of the features' size before any image is drawn.
+section or key is an error, the dilations and scales are checked whatever
+the methods, and each method's `lacunarity.scale_planes` runs once on a
+zero map of the features' size before any image is drawn.
 A run reads its seeds from the config alone, never from the environment.
 """
 
@@ -170,12 +171,10 @@ class ExperimentResult:
 
 
 def pooling_for(cfg: ExperimentConfig, method: str) -> LacunarityConfig:
-    """dbc takes the config's dilations, multiscale its scales, the rest defaults."""
-    if method == "dbc":
-        return LacunarityConfig(method="dbc", dilation_set=cfg.dilations)
-    if method == "multiscale":
-        return LacunarityConfig(method="multiscale", scales=cfg.scales)
-    return LacunarityConfig(method=method)
+    """`method` with the config's dilations and scales, which it checks
+    whether or not the method reads them."""
+    return LacunarityConfig(method=method, dilation_set=cfg.dilations,
+                            scales=cfg.scales)
 
 
 def _dataset(cfg: ExperimentConfig, seed: int, start: int, stop: int

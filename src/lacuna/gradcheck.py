@@ -1,13 +1,14 @@
 """Analytic backward passes and a central-finite-difference verifier.
 
 Every operator that sits on a trainable path gets a hand-written
-vector-Jacobian product, registered in the module-level ``BACKWARD`` table
-and dispatched through :func:`backward`.  :func:`finite_diff_check` verifies
-any of them (plus the composed multi-scale operator end to end) against
-central differences of a randomly projected scalar loss.
+vector-Jacobian product, dispatched through :func:`backward` and its
+``BACKWARD`` table.  :func:`finite_diff_check` verifies any of them (plus
+the composed multi-scale operator end to end) against central differences
+of a randomly projected scalar loss.
 
-The rig knows each checked op through one record in a private table: its
-forward, how the probed arrays become its argument tuple, how they are
+The rig knows each checked op through one record in a private table, from
+which ``BACKWARD`` and ``CHECKED_OPS`` are derived: its forward and
+backward, how the probed arrays become its argument tuple, how they are
 drawn, its suite input and window cycle, and which arrays carry the sample
 axis.  A probe of a sample-axis array copies only the probed sample: its ±h
 copies are stacked along that axis with other probes' copies, several per
@@ -39,6 +40,7 @@ from .lacunarity import (
     _mixed,
     _multiscale_pass,
     _reflect_index,
+    _scaled_for_sums,
     base_lacunarity,
     multiscale_lacunarity,
     multiscale_scale_planes,
@@ -139,8 +141,17 @@ def vjp_pool_max(upstream, x, spec):
                           _winner_offsets(x, spec)),)
 
 
+# window sums below 2^255 keep the squared denominator (s1^2 + eps)^2 finite
+_VJP_SUM_LIMIT_EXP = 255
+
+
 def _vjp_variance_ratio(upstream, x, spec, epsilon):
-    """Gradient of the clamped variance-to-squared-mean ratio."""
+    """Gradient of the clamped variance-to-squared-mean ratio.
+
+    An input whose window sums reach 2^255 is differentiated scaled by an
+    exact power of two 2^k, epsilon by 2^2k, and the gradient scaled back.
+    """
+    x, epsilon, shift = _scaled_for_sums(x, spec.area, epsilon, _VJP_SUM_LIMIT_EXP)
     s1 = pool_sum(x, spec)
     s2 = pool_sum(x * x, spec)
     denom = s1 * s1 + epsilon
@@ -149,8 +160,8 @@ def _vjp_variance_ratio(upstream, x, spec, epsilon):
     d_s2 = g * (spec.area / denom)
     d_s1 = g * (-2.0 * spec.area * s2 * s1 / (denom * denom))
     h, w = x.shape[2], x.shape[3]
-    return (_scatter_pool(d_s1, spec, h, w)
-            + 2.0 * x * _scatter_pool(d_s2, spec, h, w))
+    g = _scatter_pool(d_s1, spec, h, w) + 2.0 * x * _scatter_pool(d_s2, spec, h, w)
+    return np.ldexp(g, shift) if shift else g
 
 
 def vjp_base_lacunarity(upstream, x, cfg):
@@ -287,21 +298,6 @@ def vjp_multiscale_lacunarity(upstream, x, cfg, mix):
     return (carry, d_weights, d_bias)
 
 
-BACKWARD = {
-    "tanh_scale": vjp_tanh_scale,
-    "pool_sum": vjp_pool_sum,
-    "pool_avg": vjp_pool_avg,
-    "pool_max": vjp_pool_max,
-    "base_lacunarity": vjp_base_lacunarity,
-    "mix_scales": vjp_mix_scales,
-    "elementwise_mul": vjp_elementwise_mul,
-    "gap": vjp_gap,
-    "linear_classifier": vjp_linear_classifier,
-    "softmax_cross_entropy": vjp_softmax_cross_entropy,
-    "multiscale_lacunarity": vjp_multiscale_lacunarity,
-}
-
-
 # ----------------------------------------------------------- finite-diff rig
 
 @dataclass(frozen=True)
@@ -338,11 +334,13 @@ _PROBE_BATCH_BYTES = 64 * 1024
 class _Op:
     """How the finite-difference rig drives one checked op.
 
-    `setup(x, rng, params)` gives the probed arrays (x first, then weights
-    drawn from `rng`) and a context that is never probed; `args(arrays,
-    context)` is the argument tuple of both `forward` and ``backward``.  The
-    op acts sample by sample along axis 0 of the arrays in `sample_axis`:
-    row i of its output depends only on row i of each of them.
+    `vjp(upstream, *args)` is its backward, which :func:`backward` reaches
+    through ``BACKWARD``.  `setup(x, rng, params)` gives the probed arrays (x
+    first, then weights drawn from `rng`) and a context that is never
+    probed; `args(arrays, context)` is the argument tuple of both `forward`
+    and `vjp`.  The op acts sample by sample along axis 0 of the arrays in
+    `sample_axis`: row i of its output depends only on row i of each of
+    them.
     `suite_input(rng)` and `suite_params(i)` are the suite's input and the
     params of its i-th seed.
 
@@ -353,6 +351,7 @@ class _Op:
     """
 
     forward: Callable
+    vjp: Callable
     setup: Callable
     args: Callable
     suite_input: Callable
@@ -402,8 +401,8 @@ def _setup_multiscale(x, rng, params):
     return [x, weights, rng.standard_normal(x.shape[1])], cfg
 
 
-def _pooling(forward):
-    return _Op(forward, lambda x, rng, p: ([x], p.get("spec") or WINDOW_CONFIGS[0]),
+def _pooling(forward, vjp):
+    return _Op(forward, vjp, lambda x, rng, p: ([x], p.get("spec") or WINDOW_CONFIGS[0]),
                _args_x_context, _normal,
                lambda i: {"spec": WINDOW_CONFIGS[i % len(WINDOW_CONFIGS)]})
 
@@ -411,37 +410,39 @@ def _pooling(forward):
 # The forwards look module-level names up at call time, so a wrapped or
 # patched function (a tracer, a test spy) is the one the rig runs.
 _OPS = {
-    "tanh_scale": _Op(lambda x: tanh_scale(x), lambda x, rng, p: ([x], None),
-                      lambda a, _: (a[0],), _uniform3),
-    "pool_sum": _pooling(lambda x, spec: pool_sum(x, spec)),
-    "pool_avg": _pooling(lambda x, spec: pool_avg(x, spec)),
-    "pool_max": _pooling(lambda x, spec: pool_max(x, spec)),
+    "tanh_scale": _Op(lambda x: tanh_scale(x), vjp_tanh_scale,
+                      lambda x, rng, p: ([x], None), lambda a, _: (a[0],), _uniform3),
+    "pool_sum": _pooling(lambda x, spec: pool_sum(x, spec), vjp_pool_sum),
+    "pool_avg": _pooling(lambda x, spec: pool_avg(x, spec), vjp_pool_avg),
+    "pool_max": _pooling(lambda x, spec: pool_max(x, spec), vjp_pool_max),
     "base_lacunarity": _Op(
-        lambda x, cfg: base_lacunarity(x, cfg),
+        lambda x, cfg: base_lacunarity(x, cfg), vjp_base_lacunarity,
         lambda x, rng, p: ([x], p.get("cfg") or LacunarityConfig(
             method="base", window=WINDOW_CONFIGS[0])),
         _args_x_context, _uniform3,
         lambda i: {"cfg": LacunarityConfig(
             method="base", window=WINDOW_CONFIGS[i % len(WINDOW_CONFIGS)])}),
-    "mix_scales": _Op(lambda s, mix: mix_scales(s, mix), _setup_mix,
+    "mix_scales": _Op(lambda s, mix: mix_scales(s, mix), vjp_mix_scales, _setup_mix,
                       lambda a, _: (a[0], GroupedMixWeights(a[1], a[2])),
                       lambda rng: rng.standard_normal((2, 4, 5, 5))),
     "elementwise_mul": _Op(
-        lambda a, b: elementwise_mul(a, b),
+        lambda a, b: elementwise_mul(a, b), vjp_elementwise_mul,
         lambda x, rng, p: ([x, rng.standard_normal((*x.shape[:2], 1, 1))], None),
         lambda a, _: tuple(a), _normal, sample_axis=(0, 1)),
-    "gap": _Op(lambda x: gap(x), lambda x, rng, p: ([x], None),
+    "gap": _Op(lambda x: gap(x), vjp_gap, lambda x, rng, p: ([x], None),
                lambda a, _: (a[0],), _normal),
     "linear_classifier": _Op(
-        lambda x, w, b: linear_classifier(x, w, b), _setup_linear,
+        lambda x, w, b: linear_classifier(x, w, b), vjp_linear_classifier,
+        _setup_linear,
         lambda a, _: tuple(a), lambda rng: rng.uniform(-2.0, 2.0, size=(4, 2, 3, 3))),
     # the loss is a mean over the samples, so no array has a sample axis
     "softmax_cross_entropy": _Op(
         lambda logits, labels: softmax_cross_entropy(logits, labels),
-        _setup_softmax, _args_x_context,
+        vjp_softmax_cross_entropy, _setup_softmax, _args_x_context,
         lambda rng: rng.uniform(-2.0, 2.0, size=(4, 3, 1, 1)), sample_axis=()),
     "multiscale_lacunarity": _Op(
-        lambda x, cfg, mix: multiscale_lacunarity(x, cfg, mix), _setup_multiscale,
+        lambda x, cfg, mix: multiscale_lacunarity(x, cfg, mix),
+        vjp_multiscale_lacunarity, _setup_multiscale,
         lambda a, cfg: (a[0], cfg, GroupedMixWeights(a[1], a[2])), _uniform3,
         lambda i: {"cfg": LacunarityConfig(
             method="multiscale", scales=2, window=_MULTISCALE_WINDOWS[i % 3])},
@@ -449,6 +450,9 @@ _OPS = {
         mix=lambda planes, a, cfg: _mixed(planes, cfg, GroupedMixWeights(a[1], a[2]))),
 }
 
+# backward() dispatches through this table, so a patched or wrapped entry
+# is the vjp that runs
+BACKWARD = {op_id: op.vjp for op_id, op in _OPS.items()}
 CHECKED_OPS = tuple(_OPS)
 
 

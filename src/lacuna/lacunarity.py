@@ -34,8 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    _SUM_LIMIT_EXP,
     GroupedMixWeights,
     PoolSpec,
+    _sum_shift,
     _window_cells,
     as_feature_map,
     mix_scales,
@@ -69,7 +71,8 @@ class LacunarityConfig:
     least 3x3; otherwise one window covering the whole spatial extent of
     whatever map the operator is applied to (for the multi-scale method, of
     each pyramid level).  `dilation_set` and `clamp_heights` only matter for
-    the box-counting method, `scales` only for the multi-scale one.
+    the box-counting method, `scales` only for the multi-scale one, but
+    `dilation_set` and `scales` are checked whatever the method.
     `normalize_input` controls the tanh squashing; the box-counting method
     requires it since its box heights are defined on the 0..255 range.  The
     avg/max/l2 baselines read the window alone and never squash.
@@ -88,15 +91,14 @@ class LacunarityConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and > 0")
-        if self.method == "dbc":
-            if len(self.dilation_set) == 0:
-                raise ValueError("dilation_set must be nonempty")
-            if list(self.dilation_set) != sorted(set(self.dilation_set)):
-                raise ValueError("dilation_set must be strictly increasing")
-            if min(self.dilation_set) < 1:
-                raise ValueError("dilation factors must be >= 1")
-            if not self.normalize_input:
-                raise ValueError("the dbc method requires normalize_input=True")
+        if len(self.dilation_set) == 0:
+            raise ValueError("dilation_set must be nonempty")
+        if list(self.dilation_set) != sorted(set(self.dilation_set)):
+            raise ValueError("dilation_set must be strictly increasing")
+        if min(self.dilation_set) < 1:
+            raise ValueError("dilation factors must be >= 1")
+        if self.method == "dbc" and not self.normalize_input:
+            raise ValueError("the dbc method requires normalize_input=True")
         if self.scales < 1:
             raise ValueError("scales must be >= 1")
 
@@ -123,12 +125,6 @@ def tanh_scale(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# n * max|x| below this keeps every window sum of x^2, and the square of
-# every window sum of x, finite
-_SUM_LIMIT_EXP = 511
-_SUM_LIMIT = 2.0 ** _SUM_LIMIT_EXP
-
-
 def variance_ratio(x: np.ndarray, spec: PoolSpec, epsilon: float) -> np.ndarray:
     """Per-window variance-to-squared-mean ratio, clamped to be nonnegative.
 
@@ -141,13 +137,21 @@ def variance_ratio(x: np.ndarray, spec: PoolSpec, epsilon: float) -> np.ndarray:
     square, kept above zero) so the ratio comes out finite.
     """
     x = as_feature_map(x)
-    peak = max(float(x.max()), -float(x.min()))
-    if spec.area * peak >= _SUM_LIMIT:
-        shift = _SUM_LIMIT_EXP - math.frexp(peak)[1] - math.frexp(spec.area)[1]
-        x = np.ldexp(x, shift)
-        epsilon = max(math.ldexp(epsilon, 2 * shift), math.ulp(0.0))
+    x, epsilon, _ = _scaled_for_sums(x, spec.area, epsilon)
     return _ratio_from_sums(spec.area, pool_sum(x, spec), pool_sum(x * x, spec),
                             epsilon)
+
+
+def _scaled_for_sums(x: np.ndarray, area: int, epsilon: float,
+                     limit_exp: int = _SUM_LIMIT_EXP):
+    """`x` times 2^k and `epsilon` times 2^2k (kept above 0), and k, for
+    `_sum_shift`'s k: the ratio of every `area`-cell window is unchanged,
+    and below the bound (k = 0) so are the arrays."""
+    shift = _sum_shift(x, area, limit_exp)
+    if shift:
+        x = np.ldexp(x, shift)
+        epsilon = max(math.ldexp(epsilon, 2 * shift), math.ulp(0.0))
+    return x, epsilon, shift
 
 
 def _ratio_from_sums(area, s1, s2, epsilon):

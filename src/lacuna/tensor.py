@@ -16,6 +16,7 @@ and the backbone convolution all walk its kernel offsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,14 +159,37 @@ def _pool(x: np.ndarray, spec: PoolSpec, fill: float, combine) -> np.ndarray:
     return out
 
 
+# n * max|x| below 2^511 keeps every window sum of x and of x^2 of an
+# n-cell window, and the square of every window sum of x, finite
+_SUM_LIMIT_EXP = 511
+
+
+def _sum_shift(x: np.ndarray, area: int, limit_exp: int = _SUM_LIMIT_EXP) -> int:
+    """The exponent k <= 0 for which area * max|x * 2^k| < 2^limit_exp: 0 when
+    `x` is already below that bound, or holds a NaN or inf for the caller's
+    validation to reject.  Scaling by 2^k is exact, so a caller that scales
+    its input, and its result back, keeps the bits of every cell that stays
+    a normal number."""
+    peak = max(float(x.max()), -float(x.min()))
+    if not (math.isfinite(peak) and area * peak >= 2.0 ** limit_exp):
+        return 0
+    return limit_exp - math.frexp(peak)[1] - math.frexp(area)[1]
+
+
 def pool_sum(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     """Windowed sum; padded cells contribute 0."""
     return _pool(x, spec, 0.0, np.add)
 
 
 def pool_avg(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
-    """Windowed mean; the divisor is always the full kernel area."""
-    return pool_sum(x, spec) / spec.area
+    """Windowed mean; the divisor is always the full kernel area.  A map
+    whose window sums could overflow is pooled scaled by an exact power of
+    two (`_sum_shift`) and the means scaled back."""
+    x = _as_nchw(x, "x")  # pool_sum checks the values
+    shift = _sum_shift(x, spec.area)
+    if not shift:
+        return pool_sum(x, spec) / spec.area
+    return np.ldexp(pool_sum(np.ldexp(x, shift), spec) / spec.area, -shift)
 
 
 def pool_max(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
@@ -179,9 +203,14 @@ def pool_min(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
 
 
 def pool_l2(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
-    """Root-mean-square over each window (power-average pooling, p=2)."""
+    """Root-mean-square over each window (power-average pooling, p=2), with
+    `pool_avg`'s rescale when the squares could overflow."""
     x = as_feature_map(x)
-    return np.sqrt(pool_sum(x * x, spec) / spec.area)
+    shift = _sum_shift(x, spec.area)
+    if not shift:
+        return np.sqrt(pool_sum(x * x, spec) / spec.area)
+    x = np.ldexp(x, shift)
+    return np.ldexp(np.sqrt(pool_sum(x * x, spec) / spec.area), -shift)
 
 
 def _resample_axis(in_size: int, out_size: int):
@@ -293,5 +322,5 @@ def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gap(x: np.ndarray) -> np.ndarray:
     """Global average pool: (N, C, H, W) -> (N, C, 1, 1)."""
-    x = as_feature_map(x)
+    x = _as_nchw(x, "x")  # pool_avg checks the values
     return pool_avg(x, PoolSpec.global_window(x.shape[2], x.shape[3]))

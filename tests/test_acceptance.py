@@ -8,6 +8,7 @@ their wall-clock budget.
 import ast
 import re
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -234,15 +235,50 @@ def test_fdr_matches_oracle_and_is_rotation_invariant():
     report("FDR matches the scatter oracle and ignores feature rotations")
 
 
+README = Path(__file__).parent.parent / "README.md"
+
+# what the README's calls raise, exported beside the names it imports
+ERROR_TYPES = {"ShapeMismatchError", "PyramidDepthError", "UnknownOpError",
+               "FeatureFileError", "DivergenceError", "EmptySplitError"}
+
+
 def test_star_import_gives_every_name_the_readme_imports():
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    wanted = {"scale_planes"}
-    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+    wanted = set()
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S):
         for node in ast.walk(ast.parse(block)):
             if isinstance(node, ast.ImportFrom) and node.module == "lacuna":
                 wanted.update(alias.name for alias in node.names)
     namespace = {}
     exec("from lacuna import *", namespace)
-    assert len(wanted) > 10  # both README blocks were found
-    assert wanted <= namespace.keys()
+    exported = {name for name, obj in namespace.items()
+                if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert len(wanted) > 10  # every README block was found
+    assert exported == wanted | ERROR_TYPES
     report("README imports")
+
+
+def test_submodule_name_is_the_module():
+    import lacuna.train as train_module
+
+    assert isinstance(train_module, types.ModuleType)
+    assert train_module.__name__ == "lacuna.train"
+    report("lacuna.train is the module")
+
+
+def test_readme_operators_block_runs_as_written():
+    # statement by statement; a line that ends in a shape comment must give
+    # its one assigned name that shape
+    block = re.search(r"## Operators\n\n```python\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    lines = block.splitlines()
+    namespace, checked = {}, 0
+    for stmt in ast.parse(block).body:
+        exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+        shape = re.search(r"# (\(\d+(?:, \d+)*\))$", lines[stmt.end_lineno - 1])
+        if shape:
+            (name,) = [node.id for target in stmt.targets
+                       for node in ast.walk(target) if isinstance(node, ast.Name)]
+            assert namespace[name].shape == ast.literal_eval(shape.group(1)), name
+            checked += 1
+    assert checked >= 5
+    report("README operators block")

@@ -277,6 +277,17 @@ def test_experiment_config_its_pooling_cannot_run_exits_1(
     assert not (tmp_path / "results.txt").exists()
 
 
+def test_experiment_config_unused_scales_and_dilations_exit_1(tmp_path, capsys):
+    # no listed method reads them, yet they are checked
+    ini = tmp_path / "exp.ini"
+    ini.write_text(TOY_INI.format(out=tmp_path / "results.txt").replace(
+        "methods = avg\n", "methods = avg\nscales = 0\ndilations = 3, 2, 0\n"))
+    assert cli.main(["experiment", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "results.txt").exists()
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_experiment_non_finite_learning_rate_exits_1(tmp_path, capsys, rate):
     ini = tmp_path / "exp.ini"

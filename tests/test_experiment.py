@@ -112,12 +112,9 @@ def test_load_config_missing_file(tmp_path):
 
 def test_pooling_for_mapping(tmp_path):
     cfg = toy_config(tmp_path, dilations=(1, 2), scales=3)
-    assert pooling_for(cfg, "avg") == LacunarityConfig(method="avg")
-    assert pooling_for(cfg, "base") == LacunarityConfig(method="base")
-    dbc = pooling_for(cfg, "dbc")
-    assert dbc.method == "dbc" and dbc.dilation_set == (1, 2)
-    ms = pooling_for(cfg, "multiscale")
-    assert ms.method == "multiscale" and ms.scales == 3
+    for method in METHODS:  # every method carries, and checks, both
+        assert pooling_for(cfg, method) == LacunarityConfig(
+            method=method, dilation_set=(1, 2), scales=3)
     assert set(METHODS) >= {"base", "dbc", "multiscale", "avg", "max", "l2"}
     assert DATASETS == ("heterogeneity", "toy")
 

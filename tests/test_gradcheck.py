@@ -660,3 +660,30 @@ def test_kinked_sweep_spends_every_resample_like_the_reference():
     rep = finite_diff_check("pool_max", x, seed=11)
     assert rep.resampled == 10
     assert rep == _reference_check("pool_max", x, seed=11)[0]
+
+
+@pytest.mark.parametrize("k", [256, 465, 532])  # 1e77, 1e140, 1e160
+@pytest.mark.parametrize("op_id", ["base_lacunarity", "multiscale_lacunarity"])
+def test_unsquashed_gradient_of_a_huge_map_is_the_scaled_gradient(op_id, k):
+    # window sums past 2^255 used to overflow the vjp's squared denominator
+    # (a wrong gradient), then NaN, then x * x raised; the ratio of a map
+    # scaled by 2^k, epsilon by 2^2k, is the map's, so its input gradient
+    # is 2^-k times the map's and its mix gradient the map's
+    rng = np.random.default_rng(k)
+    x = rng.uniform(1.0, 2.0, (1, 2, 4, 4))
+    eps = 1e-300
+
+    def grads(scale, epsilon):
+        cfg = LacunarityConfig(method=op_id.split("_")[0], epsilon=epsilon,
+                               window=PoolSpec.square(2, stride=1),
+                               normalize_input=False)
+        mix = GroupedMixWeights(np.array([[0.3, -0.7], [1.1, 0.4]]), np.zeros(2))
+        inputs = (np.ldexp(x, scale), cfg) + ((mix,) if cfg.method == "multiscale" else ())
+        return backward(op_id, inputs, np.random.default_rng(1).standard_normal((1, 2, 3, 3)))
+
+    scaled = grads(k, eps)
+    plain = grads(0, max(math.ldexp(eps, -2 * k), math.ulp(0.0)))
+    assert all(np.isfinite(g).all() for g in scaled)
+    np.testing.assert_allclose(scaled[0], np.ldexp(plain[0], -k), rtol=1e-12, atol=0)
+    for got, want in zip(scaled[1:], plain[1:]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

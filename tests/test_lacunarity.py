@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lacuna import lacunarity
+from lacuna import lacunarity, tensor
 from lacuna.lacunarity import (
     LacunarityConfig,
     PyramidDepthError,
@@ -173,7 +173,7 @@ def test_binary_scaling_invariance_across_the_rescale_limit(top, k, rescaled):
     x[0, :, 0, 0] = math.ldexp(0.9375, top)
     spec = PoolSpec.global_window(6, 6)
     eps = math.ldexp(1.0, 2 * top + 2)
-    assert tuple(spec.area * np.abs(m).max() >= lacunarity._SUM_LIMIT
+    assert tuple(spec.area * np.abs(m).max() >= 2.0 ** tensor._SUM_LIMIT_EXP
                  for m in (x, np.ldexp(x, k))) == rescaled
     plain = variance_ratio(x, spec, eps)
     assert np.all(plain > 0.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,23 @@ def test_pool_l2_rms_definition():
     x = np.array([[3.0, 4.0], [0.0, 0.0]]).reshape(1, 1, 2, 2)
     out = pool_l2(x, PoolSpec.square(2))
     assert out[0, 0, 0, 0] == pytest.approx(2.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("pool, value", [
+    (lambda x: pool_l2(x, PoolSpec.square(2)), 1e200),
+    (lambda x: pool_avg(x, PoolSpec.square(2)), 1e308),
+    (gap, 1e308),
+], ids=["l2", "avg", "gap"])
+def test_pool_of_a_huge_finite_map_is_its_finite_value(pool, value):
+    # the square of 1e200, and the sum of four 1e308, overflow; the pools
+    # rescale by a power of two, which is exact, so a random map scaled past
+    # the bound pools to the scaled pool of the map, bit for bit
+    x = np.random.default_rng(3).standard_normal((2, 3, 4, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(pool(np.full((1, 1, 2, 2), value)),
+                              np.full((1, 1, 1, 1), value))
+        assert np.array_equal(pool(np.ldexp(x, 1000)), np.ldexp(pool(x), 1000))
 
 
 def test_pool_rejects_oversized_window():
