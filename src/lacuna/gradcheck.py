@@ -34,11 +34,12 @@ from typing import Callable
 import numpy as np
 
 from .lacunarity import (
-    _BLUR_SPEC,
     _BLUR_TAPS,
     LacunarityConfig,
+    _expect_method,
     _mixed,
     _multiscale_pass,
+    _ratio_from_sums,
     _reflect_index,
     _scaled_for_sums,
     base_lacunarity,
@@ -46,7 +47,8 @@ from .lacunarity import (
     multiscale_scale_planes,
     tanh_scale,
 )
-from .model import _cross_entropy, linear_classifier, softmax_cross_entropy
+from .model import (_classifier_operands, _cross_entropy, _loss_operands,
+                    linear_classifier, softmax_cross_entropy)
 from .tensor import (
     GroupedMixWeights,
     PoolSpec,
@@ -95,17 +97,12 @@ def _scatter_pool(upstream: np.ndarray, spec: PoolSpec, h: int, w: int,
     return gxp[:, :, pad:pad + h, pad:pad + w]
 
 
-def _winner_offsets(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
-    """Row-major kernel offset of each window's first maximal cell."""
-    out_h, out_w = spec.out_size(x.shape[2], x.shape[3])
+def _winner_offsets(x: np.ndarray, spec: PoolSpec, best: np.ndarray) -> np.ndarray:
+    """Row-major kernel offset of each window's first cell equal to `best`."""
     xp = _padded(x, spec.padding, -np.inf)
-    best = np.full((x.shape[0], x.shape[1], out_h, out_w), -np.inf)
-    winner = np.zeros(best.shape, dtype=np.intp)
-    for k, cells in enumerate(_window_cells(spec, out_h, out_w)):
-        v = xp[cells]
-        better = v > best
-        best[better] = v[better]
-        winner[better] = k
+    winner = np.full(best.shape, -1, dtype=np.intp)
+    for k, cells in enumerate(_window_cells(spec, *best.shape[2:])):
+        winner[(winner < 0) & (xp[cells] == best)] = k
     return winner
 
 
@@ -136,45 +133,41 @@ def vjp_pool_avg(upstream, x, spec):
 
 def vjp_pool_max(upstream, x, spec):
     x = as_feature_map(x)
-    upstream = _expect(upstream, (*x.shape[:2], *spec.out_size(x.shape[2], x.shape[3])))
+    best = pool_max(x, spec)
+    upstream = _expect(upstream, best.shape)
     return (_scatter_pool(upstream, spec, x.shape[2], x.shape[3],
-                          _winner_offsets(x, spec)),)
-
-
-# window sums below 2^255 keep the squared denominator (s1^2 + eps)^2 finite
-_VJP_SUM_LIMIT_EXP = 255
+                          _winner_offsets(x, spec, best)),)
 
 
 def _vjp_variance_ratio(upstream, x, spec, epsilon):
     """Gradient of the clamped variance-to-squared-mean ratio.
 
-    An input whose window sums reach 2^255 is differentiated scaled by an
-    exact power of two 2^k, epsilon by 2^2k, and the gradient scaled back.
+    The input is scaled as `variance_ratio` scales it, and the gradient
+    scaled back.  The s1 term divides by the denominator twice, never by its
+    square, so the forward's 2^511 bound serves here too and a tiny map
+    with a tiny epsilon keeps a finite gradient.
     """
-    x, epsilon, shift = _scaled_for_sums(x, spec.area, epsilon, _VJP_SUM_LIMIT_EXP)
+    x, epsilon, shift = _scaled_for_sums(x, spec.area, epsilon)
     s1 = pool_sum(x, spec)
     s2 = pool_sum(x * x, spec)
     denom = s1 * s1 + epsilon
-    ratio = spec.area * s2 / denom - 1.0
-    g = upstream * (ratio > 0.0)
+    g = upstream * (_ratio_from_sums(spec.area, s1, s2, epsilon) > 0.0)
     d_s2 = g * (spec.area / denom)
-    d_s1 = g * (-2.0 * spec.area * s2 * s1 / (denom * denom))
+    d_s1 = g * (-2.0 * spec.area * (s2 / denom) * (s1 / denom))
     h, w = x.shape[2], x.shape[3]
     g = _scatter_pool(d_s1, spec, h, w) + 2.0 * x * _scatter_pool(d_s2, spec, h, w)
     return np.ldexp(g, shift) if shift else g
 
 
 def vjp_base_lacunarity(upstream, x, cfg):
+    _expect_method(cfg, "base")
     x = as_feature_map(x)
     xs = tanh_scale(x) if cfg.normalize_input else x
     spec = cfg.resolve_window(xs)
     upstream = _expect(
         upstream, (*xs.shape[:2], *spec.out_size(xs.shape[2], xs.shape[3])))
     g = _vjp_variance_ratio(upstream, xs, spec, cfg.epsilon)
-    if cfg.normalize_input:
-        t = np.tanh(x)
-        g = g * (127.5 * (1.0 - t * t))
-    return (g,)
+    return vjp_tanh_scale(g, x) if cfg.normalize_input else (g,)
 
 
 def vjp_mix_scales(upstream, stacked, mix):
@@ -205,16 +198,14 @@ def vjp_gap(upstream, x):
 
 
 def vjp_linear_classifier(upstream, x, weights, bias):
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    x, weights, _ = _classifier_operands(x, weights, bias)
     upstream = _expect(upstream, (x.shape[0], weights.shape[0]))
     return (upstream @ weights, upstream.T @ x, upstream.sum(axis=0))
 
 
 def vjp_softmax_cross_entropy(upstream, logits, labels):
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    scale = float(np.asarray(upstream))
+    logits, labels = _loss_operands(logits, labels)
+    scale = float(_expect(upstream, ()))
     p = _cross_entropy(logits[None], labels)[1][0]
     p[np.arange(len(labels)), labels] -= 1.0
     return (scale * p / len(labels),)
@@ -236,17 +227,13 @@ def backward(op_id: str, inputs: tuple, upstream) -> tuple[Gradient, ...]:
 
 # ----------------------------------------------- composed multi-scale branch
 
-def _undecimate(g: np.ndarray, h: int, w: int) -> np.ndarray:
-    full = np.zeros((*g.shape[:2], h, w))
-    full[:, :, ::2, ::2] = g
-    return full
-
-
-def _blur_adjoint(g: np.ndarray) -> np.ndarray:
-    """Adjoint of the reflect-padded 5x5 binomial blur."""
-    n, c, h, w = g.shape
+def _blur_adjoint(g: np.ndarray, h: int, w: int, stride: int) -> np.ndarray:
+    """Adjoint of `_blur_binomial5(x, stride)` on an h-by-w map: the same
+    taps walk the same strided cells of the reflect-padded map."""
+    n, c, out_h, out_w = g.shape
     gxp = np.zeros((n, c, h + 4, w + 4))
-    for tap, cells in zip(_BLUR_TAPS.flat, _window_cells(_BLUR_SPEC, h, w)):
+    spec = PoolSpec.square(5, stride=stride)
+    for tap, cells in zip(_BLUR_TAPS.flat, _window_cells(spec, out_h, out_w)):
         gxp[cells] += tap * g
     # fold padding onto its source cells: rows, then columns, in padded order
     rows = np.zeros((n, c, h, w + 4))
@@ -275,24 +262,23 @@ def vjp_multiscale_lacunarity(upstream, x, cfg, mix):
     """End-to-end gradient of the multi-scale operator: input, weights, bias.
 
     Chains the mix, the bilinear upsampling, the per-level variance ratios,
-    the blur/decimate pyramid steps, and the input squashing.
+    the stride-2 blur pyramid steps (coarse to fine), and the input
+    squashing.
     """
+    _expect_method(cfg, "multiscale")
     x = as_feature_map(x)
     xs = tanh_scale(x) if cfg.normalize_input else x
     levels, specs, maps, stacked = _multiscale_pass(xs, cfg)
     d_stacked, d_weights, d_bias = backward("mix_scales", (stacked, mix), upstream)
     d_ups = d_stacked.reshape(*x.shape[:2], cfg.scales, *stacked.shape[2:])
-    d_levels = []
-    for k in range(cfg.scales):
+    carry = None  # the gradient at the next coarser level
+    for k in range(cfg.scales - 1, -1, -1):
         g = d_ups[:, :, k]
         if maps[k].shape != g.shape:
             g = _upsample_adjoint(g, *maps[k].shape[2:])
-        d_levels.append(_vjp_variance_ratio(g, levels[k], specs[k], cfg.epsilon))
-    carry = d_levels[-1]
-    for k in range(cfg.scales - 1, 0, -1):
-        lower = levels[k - 1]
-        carry = d_levels[k - 1] + _blur_adjoint(
-            _undecimate(carry, lower.shape[2], lower.shape[3]))
+        g = _vjp_variance_ratio(g, levels[k], specs[k], cfg.epsilon)
+        carry = g if carry is None else g + _blur_adjoint(
+            carry, *levels[k].shape[2:], 2)
     if cfg.normalize_input:
         (carry,) = backward("tanh_scale", (x,), carry)
     return (carry, d_weights, d_bias)

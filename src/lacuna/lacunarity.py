@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    _SUM_LIMIT_EXP,
     GroupedMixWeights,
     PoolSpec,
     _sum_shift,
@@ -142,12 +141,11 @@ def variance_ratio(x: np.ndarray, spec: PoolSpec, epsilon: float) -> np.ndarray:
                             epsilon)
 
 
-def _scaled_for_sums(x: np.ndarray, area: int, epsilon: float,
-                     limit_exp: int = _SUM_LIMIT_EXP):
+def _scaled_for_sums(x: np.ndarray, area: int, epsilon: float):
     """`x` times 2^k and `epsilon` times 2^2k (kept above 0), and k, for
     `_sum_shift`'s k: the ratio of every `area`-cell window is unchanged,
     and below the bound (k = 0) so are the arrays."""
-    shift = _sum_shift(x, area, limit_exp)
+    shift = _sum_shift(x, area)
     if shift:
         x = np.ldexp(x, shift)
         epsilon = max(math.ldexp(epsilon, 2 * shift), math.ulp(0.0))
@@ -161,10 +159,15 @@ def _ratio_from_sums(area, s1, s2, epsilon):
         return np.maximum(area * s2 / (s1 * s1 + epsilon) - 1.0, 0.0)
 
 
+def _expect_method(cfg: LacunarityConfig, method: str) -> None:
+    """Raise ValueError unless `cfg` selects `method`."""
+    if cfg.method != method:
+        raise ValueError(f"config method is {cfg.method!r}, expected {method!r}")
+
+
 def base_lacunarity(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     """Gliding-box lacunarity of each window."""
-    if cfg.method != "base":
-        raise ValueError(f"config method is {cfg.method!r}, expected 'base'")
+    _expect_method(cfg, "base")
     x = as_feature_map(x)
     if cfg.normalize_input:
         x = tanh_scale(x)
@@ -240,8 +243,7 @@ def dbc_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     Each dilation's masses are the unpadded sum pooling of its heights with
     the window's kernel and stride.
     """
-    if cfg.method != "dbc":
-        raise ValueError(f"config method is {cfg.method!r}, expected 'dbc'")
+    _expect_method(cfg, "dbc")
     x = tanh_scale(x)
     window = cfg.resolve_window(x)
     stacked = None  # (N, C, R, H', W'), sized by the first dilation's masses
@@ -267,7 +269,6 @@ def dbc_lacunarity(x: np.ndarray, cfg: LacunarityConfig,
 
 
 _BLUR_TAPS = np.outer([1.0, 4.0, 6.0, 4.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0]) / 256.0
-_BLUR_SPEC = PoolSpec.square(5, stride=1)
 
 
 @functools.lru_cache
@@ -343,8 +344,7 @@ def multiscale_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     configured window, and every coarser level's map is upsampled to the
     finest level's map size before stacking.
     """
-    if cfg.method != "multiscale":
-        raise ValueError(f"config method is {cfg.method!r}, expected 'multiscale'")
+    _expect_method(cfg, "multiscale")
     x = as_feature_map(x)
     if cfg.normalize_input:
         x = tanh_scale(x)

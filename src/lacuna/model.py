@@ -225,6 +225,12 @@ class FrozenBackbone:
 def linear_classifier(x: np.ndarray, weights: np.ndarray,
                       bias: np.ndarray) -> np.ndarray:
     """Logits = x @ weights.T + bias for (N, D) inputs and (K, D) weights."""
+    x, weights, bias = _classifier_operands(x, weights, bias)
+    return x @ weights.T + bias
+
+
+def _classifier_operands(x, weights, bias):
+    """Checked float64 operands of `linear_classifier` and its backward."""
     x = np.asarray(x, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -234,11 +240,17 @@ def linear_classifier(x: np.ndarray, weights: np.ndarray,
         )
     if bias.shape != (weights.shape[0],):
         raise ShapeMismatchError(f"classifier bias shape {bias.shape}")
-    return x @ weights.T + bias
+    return x, weights, bias
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the true class under the softmax."""
+    logits, labels = _loss_operands(logits, labels)
+    return float(_cross_entropy(logits[None], labels)[0][0])
+
+
+def _loss_operands(logits, labels):
+    """Checked operands of `softmax_cross_entropy` and its backward."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
@@ -247,7 +259,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
         )
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("labels out of range for the logit width")
-    return float(_cross_entropy(logits[None], labels)[0][0])
+    return logits, labels
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray

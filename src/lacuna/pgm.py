@@ -126,7 +126,7 @@ def write_pgm(x: np.ndarray, path: str) -> None:
     if arr.ndim == 4 and arr.shape[:2] == (1, 1):
         arr = arr[0, 0]
     if arr.ndim != 2:
-        raise ShapeMismatchError(f"write_pgm wants (H, W) or (1,1,H,W), got {x.shape}")
+        raise ShapeMismatchError(f"write_pgm wants (H, W) or (1,1,H,W), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("write_pgm requires finite values")
     lo, hi = float(arr.min()), float(arr.max())

@@ -164,16 +164,16 @@ def _pool(x: np.ndarray, spec: PoolSpec, fill: float, combine) -> np.ndarray:
 _SUM_LIMIT_EXP = 511
 
 
-def _sum_shift(x: np.ndarray, area: int, limit_exp: int = _SUM_LIMIT_EXP) -> int:
-    """The exponent k <= 0 for which area * max|x * 2^k| < 2^limit_exp: 0 when
-    `x` is already below that bound, or holds a NaN or inf for the caller's
-    validation to reject.  Scaling by 2^k is exact, so a caller that scales
-    its input, and its result back, keeps the bits of every cell that stays
-    a normal number."""
+def _sum_shift(x: np.ndarray, area: int) -> int:
+    """The exponent k <= 0 for which area * max|x * 2^k| < 2^511: 0 when `x`
+    is already below that bound, or holds a NaN or inf for the caller's
+    validation to reject.  The pools, the variance ratio and its gradient
+    share this one bound.  Scaling by 2^k is exact, so a caller that scales
+    its input and its result back keeps the bits of every normal cell."""
     peak = max(float(x.max()), -float(x.min()))
-    if not (math.isfinite(peak) and area * peak >= 2.0 ** limit_exp):
+    if not (math.isfinite(peak) and area * peak >= 2.0 ** _SUM_LIMIT_EXP):
         return 0
-    return limit_exp - math.frexp(peak)[1] - math.frexp(area)[1]
+    return _SUM_LIMIT_EXP - math.frexp(peak)[1] - math.frexp(area)[1]
 
 
 def pool_sum(x: np.ndarray, spec: PoolSpec) -> np.ndarray:

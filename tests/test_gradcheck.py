@@ -16,6 +16,7 @@ from lacuna.gradcheck import (
 )
 from lacuna.lacunarity import (
     LacunarityConfig,
+    _blur_binomial5,
     base_lacunarity,
     blur_binomial5,
     multiscale_lacunarity,
@@ -123,12 +124,17 @@ def _some_window_samples_padding_only(spec, h, w):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 9), w=st.integers(2, 9))
-def test_blur_adjoint_identity_through_reflect_folds(seed, h, w):
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 9), w=st.integers(2, 9),
+       stride=st.sampled_from((1, 2)))
+def test_blur_adjoint_identity_through_reflect_folds(seed, h, w, stride):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, 2, h, w))
     g = rng.standard_normal((1, 2, h, w))
-    assert _adjoint_holds(blur_binomial5(x), g, x, gradcheck._blur_adjoint(g))
+    assert _adjoint_holds(blur_binomial5(x), g, x, gradcheck._blur_adjoint(g, h, w, 1))
+    # the strided blur is the pyramid's REDUCE step
+    blurred = _blur_binomial5(x, stride)
+    g = rng.standard_normal(blurred.shape)
+    assert _adjoint_holds(blurred, g, x, gradcheck._blur_adjoint(g, h, w, stride))
 
 
 def test_elementwise_mul_backward_product_rule_exact():
@@ -148,6 +154,23 @@ def test_unknown_op_and_shape_errors():
         finite_diff_check("conv2d", np.zeros((1, 1, 2, 2)))
     with pytest.raises(ShapeMismatchError):
         backward("gap", (np.zeros((1, 1, 2, 2)),), np.zeros((1, 1, 2, 2)))
+    # each backward rejects the inputs its forward rejects, with its error
+    with pytest.raises(ShapeMismatchError):
+        backward("linear_classifier", (np.ones((2, 3)), np.ones((4, 5)), np.ones(4)),
+                 np.ones((2, 4)))
+    with pytest.raises(ShapeMismatchError):
+        backward("softmax_cross_entropy", (np.ones((2, 3)), np.array([0, 2])),
+                 np.ones(2))
+    with pytest.raises(ValueError, match="out of range"):
+        backward("softmax_cross_entropy", (np.ones((2, 3)), np.array([0, 3])), 1.0)
+    x = np.ones((1, 1, 4, 4))
+    with pytest.raises(ValueError, match="expected 'base'"):
+        backward("base_lacunarity", (x, LacunarityConfig(method="dbc")),
+                 np.ones((1, 1, 2, 2)))
+    with pytest.raises(ValueError, match="expected 'multiscale'"):
+        backward("multiscale_lacunarity",
+                 (x, LacunarityConfig(method="base"), GroupedMixWeights.uniform(1, 2)),
+                 np.ones((1, 1, 1, 1)))
 
 
 def test_pool_sum_check_is_exact_to_roundoff():
@@ -662,14 +685,15 @@ def test_kinked_sweep_spends_every_resample_like_the_reference():
     assert rep == _reference_check("pool_max", x, seed=11)[0]
 
 
-@pytest.mark.parametrize("k", [256, 465, 532])  # 1e77, 1e140, 1e160
+# 1e77, 1e140, 1e160, and 1e-90, 1e-120 below the map's [1, 2) values
+@pytest.mark.parametrize("k", [256, 465, 532, -300, -400])
 @pytest.mark.parametrize("op_id", ["base_lacunarity", "multiscale_lacunarity"])
 def test_unsquashed_gradient_of_a_huge_map_is_the_scaled_gradient(op_id, k):
-    # window sums past 2^255 used to overflow the vjp's squared denominator
-    # (a wrong gradient), then NaN, then x * x raised; the ratio of a map
-    # scaled by 2^k, epsilon by 2^2k, is the map's, so its input gradient
-    # is 2^-k times the map's and its mix gradient the map's
-    rng = np.random.default_rng(k)
+    # the ratio of a map scaled by 2^k, epsilon by 2^2k, is the map's, so its
+    # input gradient is 2^-k times the map's and its mix gradient the map's;
+    # large k takes the sums past 2^255 and, at 532, into the 2^511 rescale,
+    # and at negative k the squared denominator would underflow to 0
+    rng = np.random.default_rng(abs(k))
     x = rng.uniform(1.0, 2.0, (1, 2, 4, 4))
     eps = 1e-300
 

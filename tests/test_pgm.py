@@ -53,8 +53,9 @@ def test_write_accepts_feature_map_rank(tmp_path):
     path = str(tmp_path / "r4.pgm")
     write_pgm(np.zeros((1, 1, 2, 2)), path)
     assert read_pgm(path).shape == (1, 1, 2, 2)
-    with pytest.raises(ShapeMismatchError):
-        write_pgm(np.zeros((2, 1, 2, 2)), path)
+    for bad in (np.zeros((2, 1, 2, 2)), [1.0, 2.0, 3.0]):
+        with pytest.raises(ShapeMismatchError):
+            write_pgm(bad, path)
 
 
 def test_write_rejects_non_finite(tmp_path):
