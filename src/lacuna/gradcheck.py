@@ -22,7 +22,9 @@ positive and finite, and an empty seed list raise ValueError.
 
 Conventions: max-pooling routes gradient to the first maximal cell in
 row-major window order; the lacunarity output clamp ``max(L, 0)`` uses
-subgradient 0 where the clamp is active; the epsilon guards are constants.
+subgradient 0 where the clamp is active, and so does a window whose ratio
+is +inf (its sum cancels to 0 under a tiny epsilon); the epsilon guards are
+constants.  Each backward takes its forward's arguments and errors.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 from .lacunarity import (
     _BLUR_TAPS,
     LacunarityConfig,
+    _checked_mix,
     _expect_method,
     _mixed,
     _multiscale_pass,
@@ -47,8 +50,7 @@ from .lacunarity import (
     multiscale_scale_planes,
     tanh_scale,
 )
-from .model import (_classifier_operands, _cross_entropy, _loss_operands,
-                    linear_classifier, softmax_cross_entropy)
+from .model import _cross_entropy, linear_classifier, softmax_cross_entropy
 from .tensor import (
     GroupedMixWeights,
     PoolSpec,
@@ -150,8 +152,12 @@ def _vjp_variance_ratio(upstream, x, spec, epsilon):
     x, epsilon, shift = _scaled_for_sums(x, spec.area, epsilon)
     s1 = pool_sum(x, spec)
     s2 = pool_sum(x * x, spec)
-    denom = s1 * s1 + epsilon
-    g = upstream * (_ratio_from_sums(spec.area, s1, s2, epsilon) > 0.0)
+    ratio = _ratio_from_sums(spec.area, s1, s2, epsilon)
+    # a clamped window and one whose ratio is +inf contribute 0: an infinite
+    # denominator zeroes both terms without overflowing either
+    live = (ratio > 0.0) & (ratio < math.inf)
+    denom = np.where(live, s1 * s1 + epsilon, math.inf)
+    g = upstream * live
     d_s2 = g * (spec.area / denom)
     d_s1 = g * (-2.0 * spec.area * (s2 / denom) * (s1 / denom))
     h, w = x.shape[2], x.shape[3]
@@ -171,22 +177,18 @@ def vjp_base_lacunarity(upstream, x, cfg):
 
 
 def vjp_mix_scales(upstream, stacked, mix):
-    stacked = as_feature_map(stacked, "stacked")
-    n, cs, h, w = stacked.shape
-    c, s = mix.weights.shape
-    upstream = _expect(upstream, (n, c, h, w))
-    planes = stacked.reshape(n, c, s, h, w)
+    upstream = _expect(upstream, mix_scales(stacked, mix).shape)
+    n, c, h, w = upstream.shape
+    planes = np.ascontiguousarray(stacked, dtype=np.float64).reshape(n, c, -1, h, w)
     d_stacked = (upstream[:, :, None] * mix.weights[None, :, :, None, None])
     d_weights = np.einsum("nchw,ncshw->cs", upstream, planes)
     d_bias = upstream.sum(axis=(0, 2, 3))
-    return (d_stacked.reshape(n, cs, h, w), d_weights, d_bias)
+    return (d_stacked.reshape(n, -1, h, w), d_weights, d_bias)
 
 
 def vjp_elementwise_mul(upstream, a, b):
-    a = as_feature_map(a, "a")
-    b = as_feature_map(b, "b")
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
-    upstream = _expect(upstream, out_shape)
+    upstream = _expect(upstream, elementwise_mul(a, b).shape)
+    a, b = (np.ascontiguousarray(v, dtype=np.float64) for v in (a, b))
     return (_unbroadcast(upstream * b, a.shape),
             _unbroadcast(upstream * a, b.shape))
 
@@ -198,14 +200,15 @@ def vjp_gap(upstream, x):
 
 
 def vjp_linear_classifier(upstream, x, weights, bias):
-    x, weights, _ = _classifier_operands(x, weights, bias)
-    upstream = _expect(upstream, (x.shape[0], weights.shape[0]))
+    upstream = _expect(upstream, linear_classifier(x, weights, bias).shape)
+    x, weights = (np.asarray(v, dtype=np.float64) for v in (x, weights))
     return (upstream @ weights, upstream.T @ x, upstream.sum(axis=0))
 
 
 def vjp_softmax_cross_entropy(upstream, logits, labels):
-    logits, labels = _loss_operands(logits, labels)
-    scale = float(_expect(upstream, ()))
+    scale = float(_expect(upstream, np.shape(softmax_cross_entropy(logits, labels))))
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)  # the forward checked them
     p = _cross_entropy(logits[None], labels)[1][0]
     p[np.arange(len(labels)), labels] -= 1.0
     return (scale * p / len(labels),)
@@ -258,17 +261,18 @@ def _upsample_adjoint(g: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
     return dx
 
 
-def vjp_multiscale_lacunarity(upstream, x, cfg, mix):
+def vjp_multiscale_lacunarity(upstream, x, cfg, mix=None):
     """End-to-end gradient of the multi-scale operator: input, weights, bias.
 
     Chains the mix, the bilinear upsampling, the per-level variance ratios,
     the stride-2 blur pyramid steps (coarse to fine), and the input
-    squashing.
+    squashing; `mix=None` differentiates the forward's uniform mix.
     """
     _expect_method(cfg, "multiscale")
     x = as_feature_map(x)
     xs = tanh_scale(x) if cfg.normalize_input else x
     levels, specs, maps, stacked = _multiscale_pass(xs, cfg)
+    mix = _checked_mix(stacked, cfg, mix)
     d_stacked, d_weights, d_bias = backward("mix_scales", (stacked, mix), upstream)
     d_ups = d_stacked.reshape(*x.shape[:2], cfg.scales, *stacked.shape[2:])
     carry = None  # the gradient at the next coarser level

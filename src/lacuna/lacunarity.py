@@ -360,14 +360,20 @@ def multiscale_lacunarity(x: np.ndarray, cfg: LacunarityConfig,
 
 def _mixed(planes: np.ndarray, cfg: LacunarityConfig,
            mix: GroupedMixWeights | None) -> np.ndarray:
-    """C*S channel-major planes mixed to C channels; `mix` must be (C, S)."""
+    """C*S channel-major planes mixed to C channels by `_checked_mix`'s mix."""
+    return mix_scales(planes, _checked_mix(planes, cfg, mix))
+
+
+def _checked_mix(planes: np.ndarray, cfg: LacunarityConfig,
+                 mix: GroupedMixWeights | None) -> GroupedMixWeights:
+    """`mix`, else the uniform mix, for C*S channel-major `planes`; raises
+    ValueError unless it is (C, S)."""
     s = cfg.scale_count
     c = planes.shape[1] // s
-    if mix is None:
-        mix = GroupedMixWeights.uniform(c, s)
+    mix = mix or GroupedMixWeights.uniform(c, s)
     if (mix.channels, mix.scales) != (c, s):
         raise ValueError(f"mix sized ({mix.channels}, {mix.scales}), need C={c}, S={s}")
-    return mix_scales(planes, mix)
+    return mix
 
 
 def scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:

@@ -225,12 +225,6 @@ class FrozenBackbone:
 def linear_classifier(x: np.ndarray, weights: np.ndarray,
                       bias: np.ndarray) -> np.ndarray:
     """Logits = x @ weights.T + bias for (N, D) inputs and (K, D) weights."""
-    x, weights, bias = _classifier_operands(x, weights, bias)
-    return x @ weights.T + bias
-
-
-def _classifier_operands(x, weights, bias):
-    """Checked float64 operands of `linear_classifier` and its backward."""
     x = np.asarray(x, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -240,26 +234,29 @@ def _classifier_operands(x, weights, bias):
         )
     if bias.shape != (weights.shape[0],):
         raise ShapeMismatchError(f"classifier bias shape {bias.shape}")
-    return x, weights, bias
+    return x @ weights.T + bias
+
+
+def _checked_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Labels as int64, raising ValueError unless each one is a whole number
+    (an integral float passes, as in `write_feature_file`) naming a class."""
+    labels = np.asarray(labels)
+    if not np.all(np.floor(labels) == labels):
+        raise ValueError("labels must be whole numbers")
+    if not np.all((labels >= 0) & (labels < num_classes)):
+        raise ValueError("labels out of range for the logit width")
+    return labels.astype(np.int64)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the true class under the softmax."""
-    logits, labels = _loss_operands(logits, labels)
-    return float(_cross_entropy(logits[None], labels)[0][0])
-
-
-def _loss_operands(logits, labels):
-    """Checked operands of `softmax_cross_entropy` and its backward."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
+    if logits.ndim != 2 or np.shape(labels) != (logits.shape[0],) or not len(logits):
         raise ShapeMismatchError(
-            f"loss got logits {logits.shape} and labels {labels.shape}"
+            f"loss got logits {logits.shape} and labels {np.shape(labels)}"
         )
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError("labels out of range for the logit width")
-    return logits, labels
+    labels = _checked_labels(labels, logits.shape[1])
+    return float(_cross_entropy(logits[None], labels)[0][0])
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray

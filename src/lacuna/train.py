@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FusionModel, _cross_entropy, _head
+from .model import FusionModel, _checked_labels, _cross_entropy, _head
 from .tensor import as_feature_map, gap
 
 
@@ -141,14 +141,6 @@ class TrainResult:
 class EvalReport:
     accuracy: float
     confusion: np.ndarray  # rows: true class, columns: predicted
-
-
-def _checked_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Labels as int64, raising unless each one names one of the classes."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError("labels out of range for the logit width")
-    return labels
 
 
 class _HeadState:
@@ -275,8 +267,8 @@ def train_heads(models: list[FusionModel], feats: np.ndarray,
     Deterministic given cfg.seed: the split, every shuffle, and all update
     arithmetic follow fixed orders.  Raises DivergenceError on a non-finite
     loss of a head still training, EmptySplitError when the data cannot
-    cover the split and ValueError when a label names no class of the heads
-    or the heads differ in class or channel count.
+    cover the split and ValueError when a label is not a whole number naming
+    a class of the heads or the heads differ in class or channel count.
     """
     state = _HeadState(models, feats, labels)
     train_idx, val_idx, test_idx = split_indices(state.labels, cfg.seed)

@@ -19,7 +19,7 @@ from lacuna import cli, gradcheck
 from lacuna.lacunarity import LacunarityConfig, base_lacunarity, dbc_column_heights
 from lacuna.lacunarity import multiscale_lacunarity, tanh_scale
 from lacuna.metrics import fisher_discriminant_ratio
-from lacuna.model import FrozenBackbone, FusionModel
+from lacuna.model import FrozenBackbone, FusionModel, write_feature_file
 from lacuna.tensor import (
     GroupedMixWeights,
     PoolSpec,
@@ -265,13 +265,12 @@ def test_submodule_name_is_the_module():
     report("lacuna.train is the module")
 
 
-def test_readme_operators_block_runs_as_written():
-    # statement by statement; a line that ends in a shape comment must give
-    # its one assigned name that shape
-    block = re.search(r"## Operators\n\n```python\n(.*?)```", README.read_text(),
-                      re.S).group(1)
+def _run_readme_block(block: str, namespace: dict) -> int:
+    """Run a README block statement by statement; a line that ends in a
+    shape comment must give its one assigned name that shape.  Returns the
+    number of shapes checked."""
     lines = block.splitlines()
-    namespace, checked = {}, 0
+    checked = 0
     for stmt in ast.parse(block).body:
         exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
         shape = re.search(r"# (\(\d+(?:, \d+)*\))$", lines[stmt.end_lineno - 1])
@@ -280,5 +279,31 @@ def test_readme_operators_block_runs_as_written():
                        for node in ast.walk(target) if isinstance(node, ast.Name)]
             assert namespace[name].shape == ast.literal_eval(shape.group(1)), name
             checked += 1
-    assert checked >= 5
+    return checked
+
+
+def test_readme_operators_block_runs_as_written():
+    block = re.search(r"## Operators\n\n```python\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    assert _run_readme_block(block, {}) >= 6
     report("README operators block")
+
+
+def test_readme_classifier_and_feature_file_blocks_run_as_written(tmp_path,
+                                                                  monkeypatch):
+    # the LACF block reads feats.lacf from the working directory: write it,
+    # from the classifier block's features and labels, into tmp_path
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    assert _run_readme_block(blocks[1], namespace) == 1
+    assert len(namespace["results"]) == 3
+    write_feature_file(str(tmp_path / "feats.lacf"), namespace["feats"],
+                       namespace["labels"])
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    _run_readme_block(blocks[2], namespace)
+    assert 0.0 <= namespace["report"].accuracy <= 1.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["feats.lacf",
+                                                          "feats.lacf.labels"]
+    report("README classifier and feature-file blocks")

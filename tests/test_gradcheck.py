@@ -20,6 +20,7 @@ from lacuna.lacunarity import (
     base_lacunarity,
     blur_binomial5,
     multiscale_lacunarity,
+    multiscale_scale_planes,
     tanh_scale,
 )
 from lacuna.model import linear_classifier, softmax_cross_entropy
@@ -171,6 +172,84 @@ def test_unknown_op_and_shape_errors():
         backward("multiscale_lacunarity",
                  (x, LacunarityConfig(method="base"), GroupedMixWeights.uniform(1, 2)),
                  np.ones((1, 1, 1, 1)))
+    # a backward raises its forward's error on the forward's bad arguments
+    a, b = np.ones((2, 3, 4, 4)), np.ones((1, 3, 4, 4))
+    for raise_it in (lambda: elementwise_mul(a, b),
+                     lambda: backward("elementwise_mul", (a, b), np.ones(a.shape))):
+        with pytest.raises(ShapeMismatchError, match="incompatible shapes"):
+            raise_it()
+    five, mix = np.ones((1, 5, 3, 3)), GroupedMixWeights.uniform(2, 2)
+    for raise_it in (lambda: mix_scales(five, mix),
+                     lambda: backward("mix_scales", (five, mix), np.ones((1, 2, 3, 3)))):
+        with pytest.raises(ShapeMismatchError, match="expected 4 channels"):
+            raise_it()
+    x2, ms = np.ones((1, 2, 4, 4)), LacunarityConfig(method="multiscale", scales=2)
+    tall = GroupedMixWeights(np.ones((4, 1)), np.zeros(4))
+    for raise_it in (lambda: multiscale_lacunarity(x2, ms, tall),
+                     lambda: backward("multiscale_lacunarity", (x2, ms, tall),
+                                      np.ones((1, 4, 1, 1)))):
+        with pytest.raises(ValueError, match=r"mix sized \(4, 1\)"):
+            raise_it()
+    logits, fractional = np.ones((3, 3)), np.arange(3) + 0.6
+    for raise_it in (lambda: softmax_cross_entropy(logits, fractional),
+                     lambda: backward("softmax_cross_entropy", (logits, fractional), 1.0)):
+        with pytest.raises(ValueError, match="whole numbers"):
+            raise_it()
+
+
+def test_mix_scales_backward_takes_the_inf_planes_its_forward_takes():
+    rng = np.random.default_rng(13)
+    stacked = rng.standard_normal((2, 4, 3, 3))
+    stacked[0, 1, 2, 0] = np.inf
+    mix = GroupedMixWeights(rng.standard_normal((2, 2)), rng.standard_normal(2))
+    assert mix_scales(stacked, mix).shape == (2, 2, 3, 3)
+    up = np.ones((2, 2, 3, 3))
+    d_stacked, d_weights, d_bias = backward("mix_scales", (stacked, mix), up)
+    assert np.array_equal(d_stacked, np.broadcast_to(mix.weights.reshape(1, 4, 1, 1),
+                                                     stacked.shape))
+    assert d_weights[0, 1] == np.inf and np.isfinite(np.delete(d_weights, 1)).all()
+    assert np.array_equal(d_bias, [18.0, 18.0])
+
+
+def test_multiscale_backward_without_a_mix_is_the_uniform_mix():
+    rng = np.random.default_rng(14)
+    x = rng.uniform(-3.0, 3.0, (2, 3, 6, 6))
+    cfg = LacunarityConfig(method="multiscale", scales=2)
+    up = rng.standard_normal(multiscale_lacunarity(x, cfg).shape)
+    uniform = backward("multiscale_lacunarity",
+                       (x, cfg, GroupedMixWeights.uniform(3, 2)), up)
+    for inputs in ((x, cfg), (x, cfg, None)):
+        got = backward("multiscale_lacunarity", inputs, up)
+        assert len(got) == 3
+        for g, want in zip(got, uniform):
+            assert g.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["base", "multiscale"])
+def test_a_window_whose_ratio_is_inf_contributes_zero(method):
+    # every 2x2 window sums +-1e10 to 0, so under epsilon 1e-300 its ratio is
+    # +inf; the suite's warnings-as-errors setting fails any overflow warning
+    x = np.zeros((1, 1, 4, 4))
+    x[0, 0, 0::2, 0::2], x[0, 0, 1::2, 0::2] = 1e10, -1e10
+    cfg = LacunarityConfig(method=method, epsilon=1e-300, normalize_input=False,
+                           window=PoolSpec.square(2, stride=1))
+    forward = base_lacunarity if method == "base" else multiscale_lacunarity
+    out = forward(x, cfg)
+    up = np.ones(out.shape)
+    grads = backward(f"{method}_lacunarity", (x, cfg), up)
+    if method == "base":
+        assert np.all(out == np.inf)
+        assert np.array_equal(grads[0], np.zeros(x.shape))
+        return
+    (d_x, d_weights, d_bias) = grads
+    planes = multiscale_scale_planes(x, cfg)
+    assert np.isfinite(d_x).all()
+    # the mix gradient is the upstream-weighted sum of each plane: the finest
+    # level's is +inf
+    np.testing.assert_allclose(d_weights, planes.sum(axis=(0, 2, 3)).reshape(1, 2),
+                               rtol=1e-12)
+    assert d_weights[0, 0] == np.inf
+    assert np.array_equal(d_bias, [up.sum()])
 
 
 def test_pool_sum_check_is_exact_to_roundoff():

@@ -305,6 +305,29 @@ def test_out_of_range_labels_raise(bad):
         evaluate(model, feats, labels)
 
 
+@pytest.mark.parametrize("shift", [0.6, math.nan])
+def test_labels_that_are_not_whole_numbers_raise(shift):
+    # an int64 cast would train a label 0.6 above a class as that class
+    model, feats, labels = toy_setup()
+    labels = labels + np.where(np.arange(len(labels)) == 0, shift, 0.0)
+    cfg = TrainConfig(max_epochs=2, early_stop_patience=1)
+    with pytest.raises(ValueError, match="whole numbers"):
+        train(model, feats, labels, cfg)
+    with pytest.raises(ValueError, match="whole numbers"):
+        evaluate(model, feats, labels)
+
+
+def test_integral_float_labels_train_as_their_integers():
+    model, feats, labels = toy_setup()
+    twin = FusionModel.build(6, model.pooling, 3, seed=0)
+    cfg = TrainConfig(max_epochs=2, early_stop_patience=1)
+    got = train(model, feats, labels.astype(np.float64), cfg)
+    want = train(twin, feats, labels, cfg)
+    assert got.test_logits.tobytes() == want.test_logits.tobytes()
+    assert (evaluate(model, feats, labels.astype(np.float64)).accuracy
+            == evaluate(twin, feats, labels).accuracy)
+
+
 @pytest.mark.parametrize("name", ["avg", "dbc"])
 def test_training_validates_features_only_at_entry(name, monkeypatch):
     calls = [0]
