@@ -2,9 +2,10 @@
 
 Every operator that sits on a trainable path gets a hand-written
 vector-Jacobian product, dispatched through :func:`backward` and its
-``BACKWARD`` table.  :func:`finite_diff_check` verifies any of them (plus
-the composed multi-scale operator end to end) against central differences
-of a randomly projected scalar loss.
+``BACKWARD`` table; the fusion head's is `model._head_grad`, the gradient
+every training step runs.  :func:`finite_diff_check` verifies any of them
+(plus the composed multi-scale operator end to end) against central
+differences of a randomly projected scalar loss.
 
 The rig knows each checked op through one record in a private table, from
 which ``BACKWARD`` and ``CHECKED_OPS`` are derived: its forward and
@@ -23,7 +24,8 @@ positive and finite, and an empty seed list raise ValueError.
 Conventions: max-pooling routes gradient to the first maximal cell in
 row-major window order; the lacunarity output clamp ``max(L, 0)`` uses
 subgradient 0 where the clamp is active, and so does a window whose ratio
-is +inf (its sum cancels to 0 under a tiny epsilon); the epsilon guards are
+is +inf (its sum cancels to 0 under a tiny epsilon); a cell of a +-inf
+plane adds 0 to its mix weight's gradient; the epsilon guards are
 constants.  Each backward takes its forward's arguments and errors.
 """
 
@@ -50,7 +52,7 @@ from .lacunarity import (
     multiscale_scale_planes,
     tanh_scale,
 )
-from .model import _cross_entropy, linear_classifier, softmax_cross_entropy
+from .model import _cross_entropy, _head, _head_grad, softmax_cross_entropy
 from .tensor import (
     GroupedMixWeights,
     PoolSpec,
@@ -59,12 +61,12 @@ from .tensor import (
     _resample_axis,
     _window_cells,
     as_feature_map,
-    elementwise_mul,
     gap,
     mix_scales,
     pool_avg,
     pool_max,
     pool_sum,
+    upsample_bilinear,
 )
 
 Gradient = np.ndarray
@@ -106,11 +108,6 @@ def _winner_offsets(x: np.ndarray, spec: PoolSpec, best: np.ndarray) -> np.ndarr
     for k, cells in enumerate(_window_cells(spec, *best.shape[2:])):
         winner[(winner < 0) & (xp[cells] == best)] = k
     return winner
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    axes = tuple(i for i, (g, t) in enumerate(zip(grad.shape, shape)) if t == 1 and g != 1)
-    return grad.sum(axis=axes, keepdims=True) if axes else grad
 
 
 # ------------------------------------------------------------- primitive vjps
@@ -181,16 +178,12 @@ def vjp_mix_scales(upstream, stacked, mix):
     n, c, h, w = upstream.shape
     planes = np.ascontiguousarray(stacked, dtype=np.float64).reshape(n, c, -1, h, w)
     d_stacked = (upstream[:, :, None] * mix.weights[None, :, :, None, None])
-    d_weights = np.einsum("nchw,ncshw->cs", upstream, planes)
+    # a cell of a +-inf plane contributes 0, as a +inf window does in
+    # _vjp_variance_ratio; np.einsum would sum inf * 0 or inf - inf to NaN
+    d_weights = np.einsum("nchw,ncshw->cs", upstream,
+                          np.where(np.isinf(planes), 0.0, planes))
     d_bias = upstream.sum(axis=(0, 2, 3))
     return (d_stacked.reshape(n, -1, h, w), d_weights, d_bias)
-
-
-def vjp_elementwise_mul(upstream, a, b):
-    upstream = _expect(upstream, elementwise_mul(a, b).shape)
-    a, b = (np.ascontiguousarray(v, dtype=np.float64) for v in (a, b))
-    return (_unbroadcast(upstream * b, a.shape),
-            _unbroadcast(upstream * a, b.shape))
 
 
 def vjp_gap(upstream, x):
@@ -199,19 +192,22 @@ def vjp_gap(upstream, x):
     return (np.broadcast_to(upstream, x.shape) / (x.shape[2] * x.shape[3]),)
 
 
-def vjp_linear_classifier(upstream, x, weights, bias):
-    upstream = _expect(upstream, linear_classifier(x, weights, bias).shape)
-    x, weights = (np.asarray(v, dtype=np.float64) for v in (x, weights))
-    return (upstream @ weights, upstream.T @ x, upstream.sum(axis=0))
+def vjp_fusion_head(upstream, pooled, gapped, classifier_w, classifier_b,
+                    mix_weights, mix_bias):
+    """Gradients of the head's four trainable arrays, the step training runs;
+    the pooled and GAP vectors are frozen features and get none."""
+    logits, fused = _head(pooled, gapped, classifier_w, classifier_b,
+                          mix_weights, mix_bias)
+    upstream = _expect(upstream, logits.shape)
+    return _head_grad(upstream, pooled, gapped, fused, classifier_w)
 
 
 def vjp_softmax_cross_entropy(upstream, logits, labels):
     scale = float(_expect(upstream, np.shape(softmax_cross_entropy(logits, labels))))
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)  # the forward checked them
-    p = _cross_entropy(logits[None], labels)[1][0]
-    p[np.arange(len(labels)), labels] -= 1.0
-    return (scale * p / len(labels),)
+    d_sum = _cross_entropy(logits[None], labels)[1][0]
+    return (scale * d_sum / len(labels),)
 
 
 def backward(op_id: str, inputs: tuple, upstream) -> tuple[Gradient, ...]:
@@ -219,7 +215,8 @@ def backward(op_id: str, inputs: tuple, upstream) -> tuple[Gradient, ...]:
 
     `inputs` is the op's forward argument tuple; the return tuple aligns
     with the differentiable arguments in order (weights and biases included
-    where the op has them).
+    where the op has them); `fusion_head` returns only the gradients of its
+    four trainable arrays.
     """
     try:
         fn = BACKWARD[op_id]
@@ -246,8 +243,10 @@ def _blur_adjoint(g: np.ndarray, h: int, w: int, stride: int) -> np.ndarray:
     return out
 
 
-def _upsample_adjoint(g: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
+def vjp_upsample_bilinear(upstream, x, target_h, target_w):
+    g = _expect(upstream, upsample_bilinear(x, target_h, target_w).shape)
     n, c, oh, ow = g.shape
+    in_h, in_w = np.shape(x)[2:]
     i0, i1, fi = _resample_axis(in_h, oh)
     j0, j1, fj = _resample_axis(in_w, ow)
     d_rows = np.zeros((n, c, oh, in_w))
@@ -258,7 +257,7 @@ def _upsample_adjoint(g: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
               d_rows * (1.0 - fi)[None, None, :, None])
     np.add.at(dx, (slice(None), slice(None), i1, slice(None)),
               d_rows * fi[None, None, :, None])
-    return dx
+    return (dx,)
 
 
 def vjp_multiscale_lacunarity(upstream, x, cfg, mix=None):
@@ -279,7 +278,7 @@ def vjp_multiscale_lacunarity(upstream, x, cfg, mix=None):
     for k in range(cfg.scales - 1, -1, -1):
         g = d_ups[:, :, k]
         if maps[k].shape != g.shape:
-            g = _upsample_adjoint(g, *maps[k].shape[2:])
+            (g,) = backward("upsample_bilinear", (maps[k], *g.shape[2:]), g)
         g = _vjp_variance_ratio(g, levels[k], specs[k], cfg.epsilon)
         carry = g if carry is None else g + _blur_adjoint(
             carry, *levels[k].shape[2:], 2)
@@ -312,6 +311,9 @@ WINDOW_CONFIGS = (
 _MULTISCALE_WINDOWS = (None, PoolSpec.square(2, stride=1),
                        PoolSpec.square(3, stride=3))
 
+# the sizes a two-level pyramid upsamples a 3x3 level to
+_UPSAMPLE_SIZES = ((5, 5), (4, 7), (3, 3))
+
 _ROUNDOFF_UNITS = 16.0  # K of finite_diff_check's rounding allowance
 
 # Most bytes that one batched probe forward may hold in one-sample input
@@ -325,10 +327,11 @@ class _Op:
     """How the finite-difference rig drives one checked op.
 
     `vjp(upstream, *args)` is its backward, which :func:`backward` reaches
-    through ``BACKWARD``.  `setup(x, rng, params)` gives the probed arrays (x
-    first, then weights drawn from `rng`) and a context that is never
-    probed; `args(arrays, context)` is the argument tuple of both `forward`
-    and `vjp`.  The op acts sample by sample along axis 0 of the arrays in
+    through ``BACKWARD``.  `setup(x, rng, params)` gives the probed arrays
+    (mostly x, then weights drawn from `rng`; `fusion_head` probes only its
+    weights, and x's GAP vectors join its context) and a context that is
+    never probed; `args(arrays, context)` is the argument tuple of both
+    `forward` and `vjp`.  The op acts sample by sample along axis 0 of the arrays in
     `sample_axis`: row i of its output depends only on row i of each of
     them.
     `suite_input(rng)` and `suite_params(i)` are the suite's input and the
@@ -371,11 +374,15 @@ def _setup_mix(x, rng, params):
     return [x, weights, rng.standard_normal(c // scales)], None
 
 
-def _setup_linear(x, rng, params):
-    flat = x.reshape(x.shape[0], -1)
-    k, d = params.get("num_classes", 3), flat.shape[1]
-    weights = rng.standard_normal((k, d)) / np.sqrt(d)
-    return [flat, weights, rng.standard_normal(k)], None
+def _setup_head(x, rng, params):
+    """One head of 3 classes over the GAP vectors of `x` and (N, C, 2)
+    pooled vectors drawn from `rng`: its four trainable arrays are probed,
+    the features are the context."""
+    (n, c), k, s = x.shape[:2], 3, 2
+    pooled = rng.uniform(0.0, 2.0, size=(1, n, c, s))
+    arrays = [rng.standard_normal((1, k, c)) / np.sqrt(c), rng.standard_normal((1, k)),
+              rng.standard_normal((1, c, s)), rng.standard_normal((1, c))]
+    return arrays, (pooled, gap(x)[:, :, 0, 0])
 
 
 def _setup_softmax(x, rng, params):
@@ -415,16 +422,18 @@ _OPS = {
     "mix_scales": _Op(lambda s, mix: mix_scales(s, mix), vjp_mix_scales, _setup_mix,
                       lambda a, _: (a[0], GroupedMixWeights(a[1], a[2])),
                       lambda rng: rng.standard_normal((2, 4, 5, 5))),
-    "elementwise_mul": _Op(
-        lambda a, b: elementwise_mul(a, b), vjp_elementwise_mul,
-        lambda x, rng, p: ([x, rng.standard_normal((*x.shape[:2], 1, 1))], None),
-        lambda a, _: tuple(a), _normal, sample_axis=(0, 1)),
+    "upsample_bilinear": _Op(
+        lambda x, th, tw: upsample_bilinear(x, th, tw), vjp_upsample_bilinear,
+        lambda x, rng, p: ([x], p.get("size") or _UPSAMPLE_SIZES[0]),
+        lambda a, size: (a[0], *size), lambda rng: rng.standard_normal((2, 2, 3, 3)),
+        lambda i: {"size": _UPSAMPLE_SIZES[i % len(_UPSAMPLE_SIZES)]}),
     "gap": _Op(lambda x: gap(x), vjp_gap, lambda x, rng, p: ([x], None),
                lambda a, _: (a[0],), _normal),
-    "linear_classifier": _Op(
-        lambda x, w, b: linear_classifier(x, w, b), vjp_linear_classifier,
-        _setup_linear,
-        lambda a, _: tuple(a), lambda rng: rng.uniform(-2.0, 2.0, size=(4, 2, 3, 3))),
+    # training's step gradient; the probed weights have no sample axis
+    "fusion_head": _Op(
+        lambda *args: _head(*args)[0], vjp_fusion_head, _setup_head,
+        lambda a, features: (*features, *a),
+        lambda rng: rng.uniform(0.0, 2.0, size=(4, 3, 1, 1)), sample_axis=()),
     # the loss is a mean over the samples, so no array has a sample axis
     "softmax_cross_entropy": _Op(
         lambda logits, labels: softmax_cross_entropy(logits, labels),

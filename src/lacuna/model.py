@@ -10,7 +10,8 @@ function, which training runs over a stack of heads and `FusionModel.head`
 (the model's only forward) over a stack of one, then mixes the scales (a
 frozen identity mix when the branch has one plane), multiplies the two
 branches per channel and applies a linear classifier.  Only the scale mix
-(when the branch has one) and the classifier train.
+(when the branch has one) and the classifier train, on the one head
+gradient that `lacuna gradcheck` checks as its `fusion_head` op.
 
 Features computed elsewhere enter the same way, as a plain tensor read from
 a flat binary feature file ("LACF" magic, little-endian uint32 dims,
@@ -222,21 +223,6 @@ class FrozenBackbone:
 
 # ----------------------------------------------------------- classifier head
 
-def linear_classifier(x: np.ndarray, weights: np.ndarray,
-                      bias: np.ndarray) -> np.ndarray:
-    """Logits = x @ weights.T + bias for (N, D) inputs and (K, D) weights."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if x.ndim != 2 or weights.ndim != 2 or x.shape[1] != weights.shape[1]:
-        raise ShapeMismatchError(
-            f"classifier got features {x.shape} and weights {weights.shape}"
-        )
-    if bias.shape != (weights.shape[0],):
-        raise ShapeMismatchError(f"classifier bias shape {bias.shape}")
-    return x @ weights.T + bias
-
-
 def _checked_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Labels as int64, raising ValueError unless each one is a whole number
     (an integral float passes, as in `write_feature_file`) naming a class."""
@@ -261,16 +247,21 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head mean softmax cross-entropy and the softmax it came from.
+    """Per-head mean softmax cross-entropy and the gradient of its sum.
 
-    `logits` is (M, B, K) for M heads scoring the same B labelled rows.
+    `logits` is (M, B, K) for M heads scoring the same B labelled rows; the
+    gradient of each head's summed loss is its softmax minus the one-hot
+    labels.
     """
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
-    nll = np.log(total[..., 0]) - z[:, np.arange(len(labels)), labels]
+    rows = np.arange(len(labels))
+    nll = np.log(total[..., 0]) - z[:, rows, labels]
+    d_sum = e / total
+    d_sum[:, rows, labels] -= 1.0
     # the arithmetic of np.mean, without its per-call overhead
-    return nll.sum(axis=-1) / len(labels), e / total
+    return nll.sum(axis=-1) / len(labels), d_sum
 
 
 # -------------------------------------------------------------- fusion model
@@ -288,6 +279,16 @@ def _head(pooled, gapped, classifier_w, classifier_b, mix_weights, mix_bias):
     logits = (np.einsum("mnc,mkc->mnk", fused, classifier_w)
               + classifier_b[:, None])
     return logits, fused
+
+
+def _head_grad(d_logits, pooled, gapped, fused, classifier_w):
+    """Gradients of `_head`'s classifier weights and bias, then of its mix
+    weights and bias, from the (M, N, K) gradient of its logits."""
+    d_w = np.matmul(d_logits.transpose(0, 2, 1), fused)
+    d_b = np.add.reduce(d_logits, axis=1)
+    d_lac = np.matmul(d_logits, classifier_w) * gapped
+    return (d_w, d_b, np.add.reduce(d_lac[..., None] * pooled, axis=1),
+            np.add.reduce(d_lac, axis=1))
 
 
 @dataclass

@@ -307,19 +307,6 @@ def mix_scales(stacked: np.ndarray, mix: GroupedMixWeights) -> np.ndarray:
     return out
 
 
-def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hadamard product; a 1x1-spatial operand broadcasts over the other."""
-    a = as_feature_map(a, "a")
-    b = as_feature_map(b, "b")
-    if a.shape != b.shape:
-        spatial_ok = (a.shape[2:] == (1, 1)) or (b.shape[2:] == (1, 1))
-        if a.shape[:2] != b.shape[:2] or not spatial_ok:
-            raise ShapeMismatchError(
-                f"incompatible shapes for elementwise mul: {a.shape} vs {b.shape}"
-            )
-    return a * b
-
-
 def gap(x: np.ndarray) -> np.ndarray:
     """Global average pool: (N, C, H, W) -> (N, C, 1, 1)."""
     x = _as_nchw(x, "x")  # pool_avg checks the values

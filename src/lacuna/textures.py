@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lacunarity import LacunarityConfig, _ratio_from_sums, base_lacunarity
+from .lacunarity import LacunarityConfig, _ratio_from_sums
 
 GAP_VALUE = 32.0
 BACKGROUND_VALUE = 224.0
@@ -61,15 +61,6 @@ class TextureSample:
     label: int         # index of the grade in GRADES
     grade: str
     seed: int
-
-
-def global_lacunarity(image: np.ndarray) -> float:
-    """Base lacunarity of the whole image, no input scaling."""
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None, None]
-    cfg = LacunarityConfig(method="base", normalize_input=False)
-    return float(base_lacunarity(arr, cfg)[0, 0, 0, 0])
 
 
 def _paint_disks(mask: np.ndarray, ci: np.ndarray, cj: np.ndarray,
@@ -192,7 +183,7 @@ def generate_texture(grade: str, size: int = 56, seed: int = 0) -> TextureSample
         raise ValueError(f"seed must be >= 0, got {seed}")
     frac = GRADE_GAP_FRACTION[grade]
     n, count = size * size, round(frac * size * size)
-    # global_lacunarity's sums, exact in float64 for any arrangement
+    # the whole image's window sums, exact in float64 for any arrangement
     s1 = GAP_VALUE * count + BACKGROUND_VALUE * (n - count)
     s2 = GAP_VALUE ** 2 * count + BACKGROUND_VALUE ** 2 * (n - count)
     value = float(_ratio_from_sums(n, s1, s2, LacunarityConfig().epsilon))

@@ -8,7 +8,8 @@ reduces them once, to the (N, C) GAP branch plus each head's (N, C, S)
 holds the planes of one block, never of all N samples.  A step then runs on
 those per-sample vectors: the model's head function (mix, fusion product
 and classifier, the one `FusionModel.head` runs), one softmax shared by loss
-and gradient, and hand-written gradients, with no 4-D tensor ops; adaptive
+and gradient, and the head gradient `lacuna gradcheck` checks as its
+`fusion_head` op, with no 4-D tensor ops; adaptive
 moment estimation, at Kingma & Ba's published constants, then updates the
 one flat array that holds every trainable value.  The train/val/test split
 is a fixed 70/10/20 per class, batches follow a seeded permutation, and
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FusionModel, _checked_labels, _cross_entropy, _head
+from .model import FusionModel, _checked_labels, _cross_entropy, _head, _head_grad
 from .tensor import as_feature_map, gap
 
 
@@ -174,7 +175,6 @@ class _HeadState:
             raise ValueError(
                 f"{feats.shape[0]} feature rows for {len(labels)} labels")
         self.labels = _checked_labels(labels, shape[0])
-        self.onehot = np.eye(shape[0])[self.labels]
         self.gapped = gap(feats)[:, :, 0, 0]
         m, (n, c) = len(models), self.gapped.shape
         s_max = max(model.scale_count for model in models)
@@ -190,9 +190,10 @@ class _HeadState:
             if model.mix is not None:
                 self.trainable["mix_weights"][i, :, :s] = 1.0
                 self.trainable["mix_bias"][i] = 1.0
-        arrays = {"classifier_b": np.stack([head.classifier_b for head in models]),
-                  "classifier_w": np.stack([head.classifier_w for head in models]),
-                  "mix_bias": bias, "mix_weights": weights}
+        # in the order `_head_grad` gives their gradients
+        arrays = {"classifier_w": np.stack([head.classifier_w for head in models]),
+                  "classifier_b": np.stack([head.classifier_b for head in models]),
+                  "mix_weights": weights, "mix_bias": bias}
         # views into one buffer each, so Adam makes one pass per step
         self.flat = np.concatenate([v.ravel() for v in arrays.values()])
         self.flat_grad = np.zeros_like(self.flat)
@@ -222,16 +223,11 @@ class _HeadState:
         """
         logits, fused, gapped, pooled = self._forward(idx)
         losses, d_logits = _cross_entropy(logits, self.labels[idx])
-        d_logits -= self.onehot[idx]
         d_logits /= len(idx)
-        g = self.grads
-        np.matmul(d_logits.transpose(0, 2, 1), fused, out=g["classifier_w"])
-        np.add.reduce(d_logits, axis=1, out=g["classifier_b"])
-        d_lac = np.matmul(d_logits, self.params["classifier_w"]) * gapped
-        np.add.reduce(d_lac[..., None] * pooled, axis=1, out=g["mix_weights"])
-        np.add.reduce(d_lac, axis=1, out=g["mix_bias"])
-        for name, mask in self.trainable.items():
-            g[name] *= mask
+        grads = _head_grad(d_logits, pooled, gapped, fused,
+                           self.params["classifier_w"])
+        for (name, out), grad in zip(self.grads.items(), grads):
+            np.multiply(grad, self.trainable.get(name, 1.0), out=out)
         return losses
 
     def loss(self, idx: np.ndarray) -> np.ndarray:

@@ -305,6 +305,14 @@ def ref_backbone_features(weights, biases, images):
 
 # ------------------------------------------------------- texture generation
 
+def ref_global_lacunarity(image, epsilon=1e-6):
+    """Unsquashed base lacunarity of the whole image as one window:
+    n * sum(x^2) / (sum(x)^2 + epsilon) - 1, clamped at 0, from exact sums."""
+    x = np.asarray(image, dtype=np.float64).ravel()
+    s1, s2 = math.fsum(x), math.fsum(x * x)
+    return max(x.size * s2 / (s1 * s1 + epsilon) - 1.0, 0.0)
+
+
 def ref_generate_texture(grade, size, seed, max_attempts=100):
     """The retry loop: redraw until the measured global lacunarity is in band.
 
@@ -322,7 +330,7 @@ def ref_generate_texture(grade, size, seed, max_attempts=100):
         rng = np.random.default_rng([seed, attempt, label])
         mask = textures._match_count(painter(size, frac, rng), count, rng)
         image = np.where(mask, textures.GAP_VALUE, textures.BACKGROUND_VALUE)
-        measured = textures.global_lacunarity(image)
+        measured = ref_global_lacunarity(image)
         if lo <= measured <= hi:
             sample = textures.TextureSample(image=image, label=label,
                                             grade=grade, seed=seed)

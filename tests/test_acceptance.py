@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _reference import ref_dbc_heights, ref_pool, ref_scatter_ratio
+from _reference import ref_dbc_heights, ref_global_lacunarity, ref_pool, ref_scatter_ratio
 from lacuna import cli, gradcheck
 from lacuna.lacunarity import LacunarityConfig, base_lacunarity, dbc_column_heights
 from lacuna.lacunarity import multiscale_lacunarity, tanh_scale
@@ -29,7 +29,7 @@ from lacuna.tensor import (
     pool_min,
     pool_sum,
 )
-from lacuna.textures import GRADES, generate_texture, global_lacunarity, heterogeneity_dataset
+from lacuna.textures import GRADES, generate_texture, heterogeneity_dataset
 from lacuna.train import TrainConfig, evaluate, train
 
 
@@ -146,7 +146,7 @@ def test_single_scale_pyramid_collapses_to_base():
 def test_grade_ordering_strict_over_hundred_seeds():
     start = time.perf_counter()
     for seed in range(100):
-        low, mid, high = (global_lacunarity(generate_texture(g, seed=seed).image)
+        low, mid, high = (ref_global_lacunarity(generate_texture(g, seed=seed).image)
                           for g in GRADES)
         assert low < mid < high
     elapsed = time.perf_counter() - start

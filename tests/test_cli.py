@@ -5,6 +5,7 @@ import pytest
 
 from lacuna import cli
 from lacuna import gradcheck
+from lacuna import train as train_mod
 from lacuna.model import FrozenBackbone
 from lacuna.pgm import read_pgm, write_pgm
 from lacuna.textures import generate_texture
@@ -376,6 +377,21 @@ def test_gradcheck_detects_sabotaged_backward(monkeypatch, capsys):
     monkeypatch.setitem(gradcheck.BACKWARD, "pool_avg", flipped)
     assert cli.main(["gradcheck", "--seeds", "2"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_fails_a_sabotaged_training_gradient(monkeypatch, capsys):
+    # the fusion_head row runs the head gradient that every training step runs
+    assert train_mod._head_grad is gradcheck._head_grad
+    true_grad = gradcheck._head_grad
+
+    def scaled(*args):
+        return tuple(g * (1 + 1e-3) for g in true_grad(*args))
+
+    monkeypatch.setattr(gradcheck, "_head_grad", scaled)
+    assert cli.main(["gradcheck", "--seeds", "2"]) == 4
+    (row,) = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("fusion_head")]
+    assert row.split()[:2] == ["fusion_head", "FAIL"]
 
 
 def test_gradcheck_fails_nan_gradients(monkeypatch, capsys):

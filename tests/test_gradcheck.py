@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,17 +24,17 @@ from lacuna.lacunarity import (
     multiscale_scale_planes,
     tanh_scale,
 )
-from lacuna.model import linear_classifier, softmax_cross_entropy
+from lacuna.model import _head, softmax_cross_entropy
 from lacuna.tensor import (
     GroupedMixWeights,
     PoolSpec,
     ShapeMismatchError,
-    elementwise_mul,
     gap,
     mix_scales,
     pool_avg,
     pool_max,
     pool_sum,
+    upsample_bilinear,
 )
 
 from _reference import ref_out_size
@@ -138,14 +139,27 @@ def test_blur_adjoint_identity_through_reflect_folds(seed, h, w, stride):
     assert _adjoint_holds(blurred, g, x, gradcheck._blur_adjoint(g, h, w, stride))
 
 
-def test_elementwise_mul_backward_product_rule_exact():
+def _head_inputs(rng, m=1, n=4, c=3, s=2, k=5):
+    """Pooled and GAP vectors, then the four trainable arrays, of m heads."""
+    return (rng.standard_normal((m, n, c, s)), rng.standard_normal((n, c)),
+            rng.standard_normal((m, k, c)), rng.standard_normal((m, k)),
+            rng.standard_normal((m, c, s)), rng.standard_normal((m, c)))
+
+
+def test_fusion_head_backward_product_rule_exact():
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((2, 3, 4, 4))
-    b = rng.standard_normal((2, 3, 1, 1))
-    upstream = rng.standard_normal((2, 3, 4, 4))
-    da, db = backward("elementwise_mul", (a, b), upstream)
-    assert np.array_equal(da, upstream * b)
-    assert np.array_equal(db, (upstream * a).sum(axis=(2, 3), keepdims=True))
+    inputs = _head_inputs(rng, m=2)
+    pooled, gapped, w = inputs[:3]
+    upstream = rng.standard_normal((2, 4, 5))
+    # the features are frozen: only the four trainable arrays get gradients
+    d_w, d_b, d_mix_w, d_mix_b = backward("fusion_head", inputs, upstream)
+    _, fused = _head(*inputs)
+    assert np.array_equal(d_w, upstream.transpose(0, 2, 1) @ fused)
+    assert np.array_equal(d_b, upstream.sum(axis=1))
+    # the classifier input is the mixed lacunarity times the GAP vector
+    d_lac = (upstream @ w) * gapped
+    assert np.array_equal(d_mix_w, (d_lac[..., None] * pooled).sum(axis=1))
+    assert np.array_equal(d_mix_b, d_lac.sum(axis=1))
 
 
 def test_unknown_op_and_shape_errors():
@@ -156,9 +170,11 @@ def test_unknown_op_and_shape_errors():
     with pytest.raises(ShapeMismatchError):
         backward("gap", (np.zeros((1, 1, 2, 2)),), np.zeros((1, 1, 2, 2)))
     # each backward rejects the inputs its forward rejects, with its error
-    with pytest.raises(ShapeMismatchError):
-        backward("linear_classifier", (np.ones((2, 3)), np.ones((4, 5)), np.ones(4)),
-                 np.ones((2, 4)))
+    head = _head_inputs(np.random.default_rng(1))
+    with pytest.raises(ShapeMismatchError, match=r"forward output \(1, 4, 5\)"):
+        backward("fusion_head", head, np.ones((4, 5)))
+    with pytest.raises(ShapeMismatchError, match=r"forward output \(1, 2, 5, 7\)"):
+        backward("upsample_bilinear", (np.ones((1, 2, 3, 3)), 5, 7), np.ones((1, 2, 3, 3)))
     with pytest.raises(ShapeMismatchError):
         backward("softmax_cross_entropy", (np.ones((2, 3)), np.array([0, 2])),
                  np.ones(2))
@@ -173,10 +189,15 @@ def test_unknown_op_and_shape_errors():
                  (x, LacunarityConfig(method="base"), GroupedMixWeights.uniform(1, 2)),
                  np.ones((1, 1, 1, 1)))
     # a backward raises its forward's error on the forward's bad arguments
-    a, b = np.ones((2, 3, 4, 4)), np.ones((1, 3, 4, 4))
-    for raise_it in (lambda: elementwise_mul(a, b),
-                     lambda: backward("elementwise_mul", (a, b), np.ones(a.shape))):
-        with pytest.raises(ShapeMismatchError, match="incompatible shapes"):
+    a = np.ones((2, 3, 4, 4))
+    for raise_it in (lambda: upsample_bilinear(a, 0, 5),
+                     lambda: backward("upsample_bilinear", (a, 0, 5), np.ones((2, 3, 0, 5)))):
+        with pytest.raises(ShapeMismatchError, match="target dims"):
+            raise_it()
+    narrow = head[:4] + (np.ones((1, 2, 2)),) + head[5:]
+    for raise_it in (lambda: _head(*narrow),
+                     lambda: backward("fusion_head", narrow, np.ones((1, 4, 5)))):
+        with pytest.raises(ValueError, match="operands could not be broadcast"):
             raise_it()
     five, mix = np.ones((1, 5, 3, 3)), GroupedMixWeights.uniform(2, 2)
     for raise_it in (lambda: mix_scales(five, mix),
@@ -207,7 +228,9 @@ def test_mix_scales_backward_takes_the_inf_planes_its_forward_takes():
     d_stacked, d_weights, d_bias = backward("mix_scales", (stacked, mix), up)
     assert np.array_equal(d_stacked, np.broadcast_to(mix.weights.reshape(1, 4, 1, 1),
                                                      stacked.shape))
-    assert d_weights[0, 1] == np.inf and np.isfinite(np.delete(d_weights, 1)).all()
+    # the +inf cell contributes 0 to its plane's weight gradient
+    assert d_weights[0, 1] == pytest.approx(np.sum(np.delete(stacked[:, 1], 6)), rel=1e-12)
+    assert np.isfinite(d_weights).all()
     assert np.array_equal(d_bias, [18.0, 18.0])
 
 
@@ -244,12 +267,33 @@ def test_a_window_whose_ratio_is_inf_contributes_zero(method):
     (d_x, d_weights, d_bias) = grads
     planes = multiscale_scale_planes(x, cfg)
     assert np.isfinite(d_x).all()
-    # the mix gradient is the upstream-weighted sum of each plane: the finest
-    # level's is +inf
-    np.testing.assert_allclose(d_weights, planes.sum(axis=(0, 2, 3)).reshape(1, 2),
-                               rtol=1e-12)
-    assert d_weights[0, 0] == np.inf
+    # the mix gradient is the upstream-weighted sum of each plane, whose +inf
+    # cells contribute 0: the finest level is +inf throughout
+    assert np.all(planes[:, 0] == np.inf) and np.isfinite(planes[:, 1]).all()
+    assert d_weights[0, 0] == 0.0
+    np.testing.assert_allclose(d_weights[0, 1], planes[:, 1].sum(), rtol=1e-12)
     assert np.array_equal(d_bias, [up.sum()])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
+def test_mix_gradient_over_inf_planes_is_finite_whatever_the_upstream(sign):
+    # an upstream cell of 0, or cells of either sign, over +-inf planes once
+    # summed inf * 0 or inf - inf to a NaN weight gradient, with no warning
+    x = np.zeros((1, 1, 4, 4))
+    x[0, 0, 0::2, 0::2], x[0, 0, 1::2, 0::2] = 1e10, -1e10
+    cfg = LacunarityConfig(method="multiscale", epsilon=1e-300, normalize_input=False,
+                           window=PoolSpec.square(2, stride=1))
+    stacked = multiscale_scale_planes(x, cfg)
+    mix = GroupedMixWeights.uniform(1, 2)
+    up = np.ones((1, 1, 3, 3))
+    up[0, 0, 1, 2] = sign
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op, inputs in (("multiscale_lacunarity", (x, cfg)),
+                           ("mix_scales", (stacked, mix))):
+            d_weights = backward(op, inputs, up)[-2]
+            assert d_weights[0, 0] == 0.0
+            assert d_weights[0, 1] == pytest.approx(np.sum(up * stacked[:, 1]), rel=1e-12)
 
 
 def test_pool_sum_check_is_exact_to_roundoff():
@@ -392,7 +436,7 @@ def test_backward_off_by_one_part_in_a_thousand_fails(monkeypatch, op_id):
 def test_checked_ops_keep_their_order_and_each_has_a_backward():
     assert CHECKED_OPS == (
         "tanh_scale", "pool_sum", "pool_avg", "pool_max", "base_lacunarity",
-        "mix_scales", "elementwise_mul", "gap", "linear_classifier",
+        "mix_scales", "upsample_bilinear", "gap", "fusion_head",
         "softmax_cross_entropy", "multiscale_lacunarity",
     )
     assert CHECKED_OPS == tuple(gradcheck._OPS)
@@ -458,6 +502,7 @@ _WINDOWS = (PoolSpec.square(2, stride=1), PoolSpec.square(3, stride=2),
             PoolSpec.square(3, stride=1, padding=1))
 _MULTISCALE_WINDOWS = (None, PoolSpec.square(2, stride=1),
                        PoolSpec.square(3, stride=3))
+_UPSAMPLE_SIZES = ((5, 5), (4, 7), (3, 3))
 
 
 def _reference_harness(op_id, x, rng, **params):
@@ -482,16 +527,18 @@ def _reference_harness(op_id, x, rng, **params):
         return ([x, weights, bias],
                 lambda a: mix_scales(a[0], GroupedMixWeights(a[1], a[2])),
                 lambda a, p: backward(op_id, (a[0], GroupedMixWeights(a[1], a[2])), p))
-    if op_id == "elementwise_mul":
-        other = rng.standard_normal((n, c, 1, 1))
-        return ([x, other], lambda a: elementwise_mul(a[0], a[1]),
-                lambda a, p: backward(op_id, (a[0], a[1]), p))
+    if op_id == "upsample_bilinear":
+        size = params.get("size") or (5, 5)
+        return ([x], lambda a: upsample_bilinear(a[0], *size),
+                lambda a, p: backward(op_id, (a[0], *size), p))
+    if op_id == "fusion_head":
+        # one head of 3 classes mixing 2 scales; the features are not probed
+        features = (rng.uniform(0.0, 2.0, size=(1, n, c, 2)), gap(x)[:, :, 0, 0])
+        weights = [rng.standard_normal((1, 3, c)) / np.sqrt(c), rng.standard_normal((1, 3)),
+                   rng.standard_normal((1, c, 2)), rng.standard_normal((1, c))]
+        return (weights, lambda a: _head(*features, *a)[0],
+                lambda a, p: backward(op_id, (*features, *a), p))
     flat = x.reshape(n, -1)
-    if op_id == "linear_classifier":
-        weights = rng.standard_normal((3, flat.shape[1])) / np.sqrt(flat.shape[1])
-        bias = rng.standard_normal(3)
-        return ([flat, weights, bias], lambda a: linear_classifier(*a),
-                lambda a, p: backward(op_id, tuple(a), p))
     if op_id == "softmax_cross_entropy":
         labels = rng.integers(0, flat.shape[1], size=n)
         return ([flat], lambda a: np.asarray(softmax_cross_entropy(a[0], labels)),
@@ -570,7 +617,8 @@ def _reference_suite(seeds, probes):
         "base_lacunarity": lambda rng: rng.uniform(-3.0, 3.0, size=(2, 2, 6, 6)),
         "multiscale_lacunarity": lambda rng: rng.uniform(-3.0, 3.0, size=(2, 2, 6, 6)),
         "mix_scales": lambda rng: rng.standard_normal((2, 4, 5, 5)),
-        "linear_classifier": lambda rng: rng.uniform(-2.0, 2.0, size=(4, 2, 3, 3)),
+        "upsample_bilinear": lambda rng: rng.standard_normal((2, 2, 3, 3)),
+        "fusion_head": lambda rng: rng.uniform(0.0, 2.0, size=(4, 3, 1, 1)),
         "softmax_cross_entropy": lambda rng: rng.uniform(-2.0, 2.0, size=(4, 3, 1, 1)),
     }
     results = []
@@ -583,6 +631,8 @@ def _reference_suite(seeds, probes):
                 params["spec"] = _WINDOWS[i % 3]
             elif op_id == "base_lacunarity":
                 params["cfg"] = LacunarityConfig(method="base", window=_WINDOWS[i % 3])
+            elif op_id == "upsample_bilinear":
+                params["size"] = _UPSAMPLE_SIZES[i % 3]
             elif op_id == "multiscale_lacunarity":
                 params["cfg"] = LacunarityConfig(
                     method="multiscale", scales=2, window=_MULTISCALE_WINDOWS[i % 3])

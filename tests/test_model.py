@@ -23,7 +23,6 @@ from lacuna.model import (
     FusionModel,
     _cross_entropy,
     _head,
-    linear_classifier,
     read_feature_file,
     read_label_sidecar,
     softmax_cross_entropy,
@@ -278,21 +277,13 @@ def test_backbone_features_have_the_feature_shape():
 
 # --------------------------------------------------------------------- head
 
-def test_linear_classifier_matches_matmul():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((4, 6))
-    w = rng.standard_normal((3, 6))
-    b = rng.standard_normal(3)
-    assert np.allclose(linear_classifier(x, w, b), x @ w.T + b)
-    with pytest.raises(ShapeMismatchError):
-        linear_classifier(x, rng.standard_normal((3, 5)), b)
-
-
 def test_softmax_cross_entropy_uniform_logits():
     logits = np.zeros((5, 4))
     labels = np.array([0, 1, 2, 3, 0])
     assert softmax_cross_entropy(logits, labels) == pytest.approx(np.log(4.0))
-    assert np.allclose(_cross_entropy(logits[None], labels)[1], 0.25)
+    # the summed loss's gradient is the softmax minus the one-hot labels
+    d_sum = _cross_entropy(logits[None], labels)[1][0]
+    assert np.allclose(d_sum + np.eye(4)[labels], 0.25)
 
 
 def test_softmax_cross_entropy_is_shift_stable():
@@ -391,7 +382,7 @@ def test_avg_baseline_is_classifier_of_gap_squared():
     model = FusionModel.build(5, LacunarityConfig(method="avg"), num_classes=3, seed=1)
     feats = fixture_feats()
     g = gap(feats)[:, :, 0, 0]
-    expected = linear_classifier(g * g, model.classifier_w, model.classifier_b)
+    expected = (g * g) @ model.classifier_w.T + model.classifier_b
     assert np.allclose(model.head(feats)[0], expected)
 
 
@@ -410,7 +401,7 @@ def test_base_branch_uses_global_lacunarity():
     feats = fixture_feats()
     lac = base_lacunarity(feats, cfg)
     fused = lac[:, :, 0, 0] * gap(feats)[:, :, 0, 0]
-    expected = linear_classifier(fused, model.classifier_w, model.classifier_b)
+    expected = fused @ model.classifier_w.T + model.classifier_b
     assert np.allclose(model.head(feats)[0], expected)
 
 

@@ -8,7 +8,6 @@ from lacuna.tensor import (
     GroupedMixWeights,
     PoolSpec,
     ShapeMismatchError,
-    elementwise_mul,
     gap,
     mix_scales,
     pool_avg,
@@ -313,24 +312,3 @@ def test_mix_param_count(c, s):
     mix = GroupedMixWeights.uniform(c, s)
     assert mix.param_count() == c * s + c
 
-
-def test_elementwise_mul_identities():
-    x = fmap(1, 2, 3, 3)
-    np.testing.assert_array_equal(elementwise_mul(x, np.ones_like(x)), x)
-    assert np.all(elementwise_mul(x, np.zeros_like(x)) == 0.0)
-
-
-def test_elementwise_mul_broadcast():
-    rng = np.random.default_rng(9)
-    a = fmap(1, 2, 3, 3, rng=rng)
-    b = fmap(1, 2, 1, 1, rng=rng)
-    out = elementwise_mul(a, b)
-    for ch in range(2):
-        np.testing.assert_allclose(out[0, ch], a[0, ch] * b[0, ch, 0, 0], rtol=1e-15)
-
-
-def test_elementwise_mul_shape_error():
-    with pytest.raises(ShapeMismatchError):
-        elementwise_mul(fmap(1, 2, 3, 3), fmap(1, 2, 2, 2))
-    with pytest.raises(ShapeMismatchError):
-        elementwise_mul(fmap(1, 2, 3, 3), fmap(1, 3, 1, 1))

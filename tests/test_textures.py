@@ -3,6 +3,7 @@ import pytest
 from _reference import (
     ref_cluster_mask,
     ref_generate_texture,
+    ref_global_lacunarity,
     ref_jitter_mask,
     ref_lattice_mask,
     ref_paint_disk,
@@ -19,7 +20,6 @@ from lacuna.textures import (
     GRADES,
     TextureGenerationError,
     generate_texture,
-    global_lacunarity,
     heterogeneity_dataset,
     toy_dataset,
 )
@@ -49,13 +49,13 @@ def test_measured_lacunarity_lands_in_registered_band():
     for grade in GRADES:
         lo, hi = GRADE_BANDS[grade]
         for seed in range(5):
-            val = global_lacunarity(generate_texture(grade, seed=seed).image)
+            val = ref_global_lacunarity(generate_texture(grade, seed=seed).image)
             assert lo <= val <= hi
 
 
 def test_grade_ordering_holds_across_seeds():
     for seed in range(25):
-        vals = [global_lacunarity(generate_texture(g, seed=seed).image)
+        vals = [ref_global_lacunarity(generate_texture(g, seed=seed).image)
                 for g in GRADES]
         assert vals[0] < vals[1] < vals[2]
 
@@ -78,7 +78,7 @@ def test_bad_arguments_rejected():
 
 
 def _count_lacunarity(count, n):
-    """global_lacunarity of n pixels holding `count` gaps, from exact sums."""
+    """The global lacunarity of n pixels holding `count` gaps, from exact sums."""
     s1 = GAP_VALUE * count + BACKGROUND_VALUE * (n - count)
     s2 = GAP_VALUE ** 2 * count + BACKGROUND_VALUE ** 2 * (n - count)
     return float(_ratio_from_sums(n, s1, s2, LacunarityConfig().epsilon))
@@ -130,7 +130,7 @@ def test_every_size_lies_in_its_grade_band(monkeypatch):
 def test_global_lacunarity_is_arrangement_free():
     # same gap count => same histogram => identical global value
     imgs, _ = heterogeneity_dataset(2, size=40, seed=3)
-    vals = {round(global_lacunarity(im[0]), 12) for im in imgs}
+    vals = {round(ref_global_lacunarity(im[0]), 12) for im in imgs}
     assert len(vals) == 1
 
 

@@ -6,13 +6,8 @@ import pytest
 
 from lacuna import gradcheck, lacunarity, model as model_mod, tensor
 from lacuna.lacunarity import LacunarityConfig
-from lacuna.model import (
-    FrozenBackbone,
-    FusionModel,
-    linear_classifier,
-    softmax_cross_entropy,
-)
-from lacuna.tensor import elementwise_mul, gap, mix_scales
+from lacuna.model import FrozenBackbone, FusionModel, softmax_cross_entropy
+from lacuna.tensor import gap, mix_scales
 from lacuna.textures import toy_dataset
 from lacuna.train import (
     Adam,
@@ -210,25 +205,26 @@ def oracle_head(name):
 
 
 def registry_gradients(model, feats, labels, idx):
-    """Loss and head gradients through the 4-D ops and the vjp registry."""
+    """Loss and head gradients through the 4-D ops and the vjp registry's
+    loss, `gap` and `mix_scales`, with the fusion product and classifier
+    differentiated by hand."""
     back = gradcheck.backward
-    gapped = gap(feats[idx])
+    gapped = gap(feats[idx])[:, :, 0, 0]
     planes = model.scale_planes(feats)[idx]
     if model.mix is None:
         lac = gap(planes)  # the single plane is the pooling branch
     else:
         mixed = mix_scales(planes, model.mix)
         lac = gap(mixed)
-    fused = elementwise_mul(lac, gapped)[:, :, 0, 0]
+    fused = lac[:, :, 0, 0] * gapped
     w, b = model.classifier_w, model.classifier_b
-    logits = linear_classifier(fused, w, b)
+    logits = fused @ w.T + b
     (d_logits,) = back("softmax_cross_entropy", (logits, labels[idx]), 1.0)
-    d_fused, d_w, d_b = back("linear_classifier", (fused, w, b), d_logits)
-    grads = {"classifier_w": d_w, "classifier_b": d_b}
+    # the classifier's adjoint, then the product rule: d fused / d lac = gapped
+    grads = {"classifier_w": d_logits.T @ fused, "classifier_b": d_logits.sum(axis=0)}
     if model.mix is not None:
-        d_lac, _ = back("elementwise_mul", (lac, gapped),
-                        d_fused[:, :, None, None])
-        (d_mixed,) = back("gap", (mixed,), d_lac)
+        d_lac = (d_logits @ w) * gapped
+        (d_mixed,) = back("gap", (mixed,), d_lac[:, :, None, None])
         _, grads["mix_weights"], grads["mix_bias"] = back(
             "mix_scales", (planes, model.mix), d_mixed)
     return softmax_cross_entropy(logits, labels[idx]), grads
@@ -475,6 +471,26 @@ def test_stacked_step_gradient_matches_registry_chain_per_head():
             assert np.abs(grad).max() > 0
             np.testing.assert_allclose(got[key], grad, rtol=1e-10,
                                        atol=1e-12 * np.abs(grad).max())
+
+
+def test_step_gradient_is_the_checked_fusion_head_backward():
+    # `lacuna gradcheck`'s fusion_head row checks the gradient training steps
+    # with: each head's masked gradients are its registry chain's, bit for bit
+    models, feats, labels, idx, state = mixed_stack()
+    state.loss_grad(idx)
+    logits, _, gapped, pooled = state._forward(idx)
+    p = state.params
+    for i in range(len(models)):
+        (d_logits,) = gradcheck.backward("softmax_cross_entropy",
+                                         (logits[i], labels[idx]), 1.0)
+        head = [a[i:i + 1] for a in (p["classifier_w"], p["classifier_b"],
+                                     p["mix_weights"], p["mix_bias"])]
+        grads = gradcheck.backward("fusion_head", (pooled[i:i + 1], gapped, *head),
+                                   d_logits[None])
+        for name, grad in zip(("classifier_w", "classifier_b", "mix_weights",
+                               "mix_bias"), grads, strict=True):
+            mask = state.trainable[name][i] if name in state.trainable else 1.0
+            assert np.array_equal(state.grads[name][i], grad[0] * mask), (i, name)
 
 
 def test_stacked_step_gradient_matches_central_differences_per_head():
