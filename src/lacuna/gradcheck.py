@@ -2,8 +2,9 @@
 
 Every operator that sits on a trainable path gets a hand-written
 vector-Jacobian product, dispatched through :func:`backward` and its
-``BACKWARD`` table; the fusion head's is `model._head_grad`, the gradient
-every training step runs.  :func:`finite_diff_check` verifies any of them
+``BACKWARD`` table; the `fusion_head` and `cross_entropy` rows check the head
+gradient and stacked loss every training step runs, on checked shapes and
+labels.  :func:`finite_diff_check` verifies any of them
 (plus the composed multi-scale operator end to end) against central
 differences of a randomly projected scalar loss.
 
@@ -52,7 +53,7 @@ from .lacunarity import (
     multiscale_scale_planes,
     tanh_scale,
 )
-from .model import _cross_entropy, _head, _head_grad, softmax_cross_entropy
+from .model import _checked_labels, _cross_entropy, _head, _head_grad
 from .tensor import (
     GroupedMixWeights,
     PoolSpec,
@@ -192,22 +193,41 @@ def vjp_gap(upstream, x):
     return (np.broadcast_to(upstream, x.shape) / (x.shape[2] * x.shape[3]),)
 
 
-def vjp_fusion_head(upstream, pooled, gapped, classifier_w, classifier_b,
-                    mix_weights, mix_bias):
+def _agreeing(what: str, axes: str, *arrays) -> tuple:
+    """`arrays`, if each has one non-empty axis per letter of its word in
+    `axes` and each letter names one size throughout; else ShapeMismatchError."""
+    sizes = {}
+    for letters, a in zip(axes.split(), arrays, strict=True):
+        if np.ndim(a) != len(letters) or any(sizes.setdefault(k, n) != n or not n
+                                             for k, n in zip(letters, np.shape(a))):
+            raise ShapeMismatchError(
+                f"{what} got shapes {[np.shape(a) for a in arrays]}, not {axes}")
+    return arrays
+
+
+def _checked_head(*args):
+    """`model._head` of pooled, GAP, classifier and mix arrays that agree."""
+    return _head(*_agreeing("fusion head", "MNCS NC MKC MK MCS MC", *args))
+
+
+def _checked_loss(logits, labels):
+    """`model._cross_entropy` of (M, B, K) logits and (B,) class labels."""
+    logits, labels = _agreeing("loss", "MBK B", np.asarray(logits, np.float64), labels)
+    return _cross_entropy(logits, _checked_labels(labels, logits.shape[2]))
+
+
+def vjp_fusion_head(upstream, pooled, gapped, classifier_w, *bias_and_mix):
     """Gradients of the head's four trainable arrays, the step training runs;
     the pooled and GAP vectors are frozen features and get none."""
-    logits, fused = _head(pooled, gapped, classifier_w, classifier_b,
-                          mix_weights, mix_bias)
+    logits, fused = _checked_head(pooled, gapped, classifier_w, *bias_and_mix)
     upstream = _expect(upstream, logits.shape)
     return _head_grad(upstream, pooled, gapped, fused, classifier_w)
 
 
-def vjp_softmax_cross_entropy(upstream, logits, labels):
-    scale = float(_expect(upstream, np.shape(softmax_cross_entropy(logits, labels))))
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)  # the forward checked them
-    d_sum = _cross_entropy(logits[None], labels)[1][0]
-    return (scale * d_sum / len(labels),)
+def vjp_cross_entropy(upstream, logits, labels):
+    """Gradient of the heads' mean losses, the one training steps on."""
+    losses, grad = _checked_loss(logits, labels)
+    return (_expect(upstream, losses.shape)[:, None, None] * grad,)
 
 
 def backward(op_id: str, inputs: tuple, upstream) -> tuple[Gradient, ...]:
@@ -368,8 +388,6 @@ def _normal(rng):
 
 def _setup_mix(x, rng, params):
     c, scales = x.shape[1], params.get("scales", 2)
-    if c % scales:
-        raise ShapeMismatchError(f"{c} channels not divisible into {scales} scales")
     weights = rng.standard_normal((c // scales, scales))
     return [x, weights, rng.standard_normal(c // scales)], None
 
@@ -383,13 +401,6 @@ def _setup_head(x, rng, params):
     arrays = [rng.standard_normal((1, k, c)) / np.sqrt(c), rng.standard_normal((1, k)),
               rng.standard_normal((1, c, s)), rng.standard_normal((1, c))]
     return arrays, (pooled, gap(x)[:, :, 0, 0])
-
-
-def _setup_softmax(x, rng, params):
-    flat = x.reshape(x.shape[0], -1)
-    if flat.shape[1] < 2:
-        raise ShapeMismatchError("need at least two logit columns")
-    return [flat], rng.integers(0, flat.shape[1], size=flat.shape[0])
 
 
 def _setup_multiscale(x, rng, params):
@@ -429,16 +440,17 @@ _OPS = {
         lambda i: {"size": _UPSAMPLE_SIZES[i % len(_UPSAMPLE_SIZES)]}),
     "gap": _Op(lambda x: gap(x), vjp_gap, lambda x, rng, p: ([x], None),
                lambda a, _: (a[0],), _normal),
-    # training's step gradient; the probed weights have no sample axis
+    # training's head gradient and stacked loss: the head's probed weights
+    # have no sample axis, and the loss's (M, B, K) logits take heads as samples
     "fusion_head": _Op(
-        lambda *args: _head(*args)[0], vjp_fusion_head, _setup_head,
+        lambda *args: _checked_head(*args)[0], vjp_fusion_head, _setup_head,
         lambda a, features: (*features, *a),
         lambda rng: rng.uniform(0.0, 2.0, size=(4, 3, 1, 1)), sample_axis=()),
-    # the loss is a mean over the samples, so no array has a sample axis
-    "softmax_cross_entropy": _Op(
-        lambda logits, labels: softmax_cross_entropy(logits, labels),
-        vjp_softmax_cross_entropy, _setup_softmax, _args_x_context,
-        lambda rng: rng.uniform(-2.0, 2.0, size=(4, 3, 1, 1)), sample_axis=()),
+    "cross_entropy": _Op(
+        lambda logits, labels: _checked_loss(logits, labels)[0], vjp_cross_entropy,
+        lambda x, rng, p: ([x.reshape(*x.shape[:2], -1)],
+                           rng.integers(0, x[0, 0].size, size=x.shape[1])),
+        _args_x_context, lambda rng: rng.uniform(-2.0, 2.0, size=(2, 2, 3, 1))),
     "multiscale_lacunarity": _Op(
         lambda x, cfg, mix: multiscale_lacunarity(x, cfg, mix),
         vjp_multiscale_lacunarity, _setup_multiscale,

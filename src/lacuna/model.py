@@ -10,8 +10,9 @@ function, which training runs over a stack of heads and `FusionModel.head`
 (the model's only forward) over a stack of one, then mixes the scales (a
 frozen identity mix when the branch has one plane), multiplies the two
 branches per channel and applies a linear classifier.  Only the scale mix
-(when the branch has one) and the classifier train, on the one head
-gradient that `lacuna gradcheck` checks as its `fusion_head` op.
+(when the branch has one) and the classifier train, on the one stacked
+loss and head gradient that `lacuna gradcheck` checks as its
+`cross_entropy` and `fusion_head` ops.
 
 Features computed elsewhere enter the same way, as a plain tensor read from
 a flat binary feature file ("LACF" magic, little-endian uint32 dims,
@@ -234,34 +235,22 @@ def _checked_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of the true class under the softmax."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or np.shape(labels) != (logits.shape[0],) or not len(logits):
-        raise ShapeMismatchError(
-            f"loss got logits {logits.shape} and labels {np.shape(labels)}"
-        )
-    labels = _checked_labels(labels, logits.shape[1])
-    return float(_cross_entropy(logits[None], labels)[0][0])
-
-
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head mean softmax cross-entropy and the gradient of its sum.
+    """Per-head mean softmax cross-entropy and its gradient.
 
-    `logits` is (M, B, K) for M heads scoring the same B labelled rows; the
-    gradient of each head's summed loss is its softmax minus the one-hot
-    labels.
+    `logits` is (M, B, K) for M heads scoring the same B labelled rows;
+    each head's gradient is its softmax minus the one-hot labels, over B.
     """
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
-    rows = np.arange(len(labels))
-    nll = np.log(total[..., 0]) - z[:, rows, labels]
-    d_sum = e / total
-    d_sum[:, rows, labels] -= 1.0
+    nll = np.log(total[..., 0]) - z[:, np.arange(len(labels)), labels]
+    d = e / total
+    d -= labels[:, None] == np.arange(logits.shape[-1])
+    d /= len(labels)
     # the arithmetic of np.mean, without its per-call overhead
-    return nll.sum(axis=-1) / len(labels), d_sum
+    return nll.sum(axis=-1) / len(labels), d
 
 
 # -------------------------------------------------------------- fusion model

@@ -7,9 +7,9 @@ reduces them once, to the (N, C) GAP branch plus each head's (N, C, S)
 `pooled` builds the scale planes a block of samples at a time, so training
 holds the planes of one block, never of all N samples.  A step then runs on
 those per-sample vectors: the model's head function (mix, fusion product
-and classifier, the one `FusionModel.head` runs), one softmax shared by loss
-and gradient, and the head gradient `lacuna gradcheck` checks as its
-`fusion_head` op, with no 4-D tensor ops; adaptive
+and classifier, the one `FusionModel.head` runs), the stacked loss and the
+head gradient that `lacuna gradcheck` checks as its `cross_entropy` and
+`fusion_head` ops, with no 4-D tensor ops; adaptive
 moment estimation, at Kingma & Ba's published constants, then updates the
 one flat array that holds every trainable value.  The train/val/test split
 is a fixed 70/10/20 per class, batches follow a seeded permutation, and
@@ -223,7 +223,6 @@ class _HeadState:
         """
         logits, fused, gapped, pooled = self._forward(idx)
         losses, d_logits = _cross_entropy(logits, self.labels[idx])
-        d_logits /= len(idx)
         grads = _head_grad(d_logits, pooled, gapped, fused,
                            self.params["classifier_w"])
         for (name, out), grad in zip(self.grads.items(), grads):

@@ -24,7 +24,7 @@ from lacuna.lacunarity import (
     multiscale_scale_planes,
     tanh_scale,
 )
-from lacuna.model import _head, softmax_cross_entropy
+from lacuna.model import _cross_entropy, _head
 from lacuna.tensor import (
     GroupedMixWeights,
     PoolSpec,
@@ -175,11 +175,19 @@ def test_unknown_op_and_shape_errors():
         backward("fusion_head", head, np.ones((4, 5)))
     with pytest.raises(ShapeMismatchError, match=r"forward output \(1, 2, 5, 7\)"):
         backward("upsample_bilinear", (np.ones((1, 2, 3, 3)), 5, 7), np.ones((1, 2, 3, 3)))
-    with pytest.raises(ShapeMismatchError):
-        backward("softmax_cross_entropy", (np.ones((2, 3)), np.array([0, 2])),
-                 np.ones(2))
+    # the loss takes (M, B, K) logits, (B,) labels and an (M,) upstream
+    logits = np.ones((2, 2, 3))
+    with pytest.raises(ShapeMismatchError, match=r"forward output \(2,\)"):
+        backward("cross_entropy", (logits, np.array([0, 2])), np.ones(1))
     with pytest.raises(ValueError, match="out of range"):
-        backward("softmax_cross_entropy", (np.ones((2, 3)), np.array([0, 3])), 1.0)
+        backward("cross_entropy", (logits, np.array([0, 3])), np.ones(2))
+    loss = gradcheck._OPS["cross_entropy"].forward
+    for bad in ((np.ones((2, 3)), np.array([0, 2])),
+                (np.ones((2, 0, 3)), np.array([], dtype=int)),
+                (logits, np.array([0, 1, 2])), (logits, np.array([[0, 2]]))):
+        for raise_it in (lambda: loss(*bad), lambda: backward("cross_entropy", bad, np.ones(2))):
+            with pytest.raises(ShapeMismatchError, match="loss got shapes"):
+                raise_it()
     x = np.ones((1, 1, 4, 4))
     with pytest.raises(ValueError, match="expected 'base'"):
         backward("base_lacunarity", (x, LacunarityConfig(method="dbc")),
@@ -194,11 +202,21 @@ def test_unknown_op_and_shape_errors():
                      lambda: backward("upsample_bilinear", (a, 0, 5), np.ones((2, 3, 0, 5)))):
         with pytest.raises(ShapeMismatchError, match="target dims"):
             raise_it()
+    # the head row's forward checks shapes that training's `_head` takes on
+    # trust: a mix narrower than the pooled vectors, a one-scale mix over two
+    # scales, and GAP vectors that numpy would broadcast over every row
     narrow = head[:4] + (np.ones((1, 2, 2)),) + head[5:]
-    for raise_it in (lambda: _head(*narrow),
-                     lambda: backward("fusion_head", narrow, np.ones((1, 4, 5)))):
-        with pytest.raises(ValueError, match="operands could not be broadcast"):
-            raise_it()
+    with pytest.raises(ValueError, match="operands could not be broadcast"):
+        _head(*narrow)
+    one_scale = head[:4] + (np.ones((1, 3, 1)),) + head[5:]
+    assert _head(*one_scale)[0].shape == (1, 4, 5)
+    head_fwd = gradcheck._OPS["fusion_head"].forward
+    for bad in (narrow, one_scale, (head[0], head[1][:1], *head[2:]),
+                (head[0], head[1][0], *head[2:])):
+        for raise_it in (lambda: head_fwd(*bad),
+                         lambda: backward("fusion_head", bad, np.ones((1, 4, 5)))):
+            with pytest.raises(ShapeMismatchError, match="fusion head got shapes"):
+                raise_it()
     five, mix = np.ones((1, 5, 3, 3)), GroupedMixWeights.uniform(2, 2)
     for raise_it in (lambda: mix_scales(five, mix),
                      lambda: backward("mix_scales", (five, mix), np.ones((1, 2, 3, 3)))):
@@ -211,9 +229,9 @@ def test_unknown_op_and_shape_errors():
                                       np.ones((1, 4, 1, 1)))):
         with pytest.raises(ValueError, match=r"mix sized \(4, 1\)"):
             raise_it()
-    logits, fractional = np.ones((3, 3)), np.arange(3) + 0.6
-    for raise_it in (lambda: softmax_cross_entropy(logits, fractional),
-                     lambda: backward("softmax_cross_entropy", (logits, fractional), 1.0)):
+    logits, fractional = np.ones((2, 3, 3)), np.arange(3) + 0.6
+    for raise_it in (lambda: loss(logits, fractional),
+                     lambda: backward("cross_entropy", (logits, fractional), np.ones(2))):
         with pytest.raises(ValueError, match="whole numbers"):
             raise_it()
 
@@ -437,7 +455,7 @@ def test_checked_ops_keep_their_order_and_each_has_a_backward():
     assert CHECKED_OPS == (
         "tanh_scale", "pool_sum", "pool_avg", "pool_max", "base_lacunarity",
         "mix_scales", "upsample_bilinear", "gap", "fusion_head",
-        "softmax_cross_entropy", "multiscale_lacunarity",
+        "cross_entropy", "multiscale_lacunarity",
     )
     assert CHECKED_OPS == tuple(gradcheck._OPS)
     assert set(CHECKED_OPS) <= set(gradcheck.BACKWARD)
@@ -538,10 +556,11 @@ def _reference_harness(op_id, x, rng, **params):
                    rng.standard_normal((1, c, 2)), rng.standard_normal((1, c))]
         return (weights, lambda a: _head(*features, *a)[0],
                 lambda a, p: backward(op_id, (*features, *a), p))
-    flat = x.reshape(n, -1)
-    if op_id == "softmax_cross_entropy":
-        labels = rng.integers(0, flat.shape[1], size=n)
-        return ([flat], lambda a: np.asarray(softmax_cross_entropy(a[0], labels)),
+    if op_id == "cross_entropy":
+        # n heads of c rows; a row's logits are its remaining cells
+        logits = x.reshape(n, c, -1)
+        labels = rng.integers(0, logits.shape[2], size=c)
+        return ([logits], lambda a: _cross_entropy(a[0], labels)[0],
                 lambda a, p: backward(op_id, (a[0], labels), p))
     assert op_id == "multiscale_lacunarity"
     cfg = params.get("cfg") or LacunarityConfig(method="multiscale", scales=2)
@@ -619,7 +638,7 @@ def _reference_suite(seeds, probes):
         "mix_scales": lambda rng: rng.standard_normal((2, 4, 5, 5)),
         "upsample_bilinear": lambda rng: rng.standard_normal((2, 2, 3, 3)),
         "fusion_head": lambda rng: rng.uniform(0.0, 2.0, size=(4, 3, 1, 1)),
-        "softmax_cross_entropy": lambda rng: rng.uniform(-2.0, 2.0, size=(4, 3, 1, 1)),
+        "cross_entropy": lambda rng: rng.uniform(-2.0, 2.0, size=(2, 2, 3, 1)),
     }
     results = []
     for op_id in CHECKED_OPS:

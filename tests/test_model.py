@@ -21,11 +21,11 @@ from lacuna.model import (
     FeatureFileError,
     FrozenBackbone,
     FusionModel,
+    _checked_labels,
     _cross_entropy,
     _head,
     read_feature_file,
     read_label_sidecar,
-    softmax_cross_entropy,
     write_feature_file,
 )
 from lacuna.tensor import PoolSpec, ShapeMismatchError, gap
@@ -277,24 +277,25 @@ def test_backbone_features_have_the_feature_shape():
 
 # --------------------------------------------------------------------- head
 
-def test_softmax_cross_entropy_uniform_logits():
-    logits = np.zeros((5, 4))
+def test_cross_entropy_uniform_logits():
+    logits = np.zeros((2, 5, 4))
     labels = np.array([0, 1, 2, 3, 0])
-    assert softmax_cross_entropy(logits, labels) == pytest.approx(np.log(4.0))
-    # the summed loss's gradient is the softmax minus the one-hot labels
-    d_sum = _cross_entropy(logits[None], labels)[1][0]
-    assert np.allclose(d_sum + np.eye(4)[labels], 0.25)
+    losses, d_mean = _cross_entropy(logits, labels)
+    assert losses == pytest.approx([np.log(4.0)] * 2)
+    # each head's mean loss's gradient is its softmax minus the one-hot
+    # labels, over the batch
+    assert np.allclose(5 * d_mean + np.eye(4)[labels], 0.25)
 
 
-def test_softmax_cross_entropy_is_shift_stable():
+def test_cross_entropy_is_shift_stable():
     rng = np.random.default_rng(3)
-    logits = rng.standard_normal((6, 3))
+    logits = rng.standard_normal((2, 6, 3))
     labels = rng.integers(0, 3, size=6)
-    big = logits + 1e4
-    assert softmax_cross_entropy(big, labels) == pytest.approx(
-        softmax_cross_entropy(logits, labels))
+    big = logits + np.array([1e4, -1e4])[:, None, None]
+    assert _cross_entropy(big, labels)[0] == pytest.approx(
+        _cross_entropy(logits, labels)[0])
     with pytest.raises(ValueError):
-        softmax_cross_entropy(logits, np.array([0, 1, 2, 3, 0, 1]))
+        _checked_labels(np.array([0, 1, 2, 3, 0, 1]), 3)
 
 
 def misaligned(a):

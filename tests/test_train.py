@@ -6,7 +6,7 @@ import pytest
 
 from lacuna import gradcheck, lacunarity, model as model_mod, tensor
 from lacuna.lacunarity import LacunarityConfig
-from lacuna.model import FrozenBackbone, FusionModel, softmax_cross_entropy
+from lacuna.model import FrozenBackbone, FusionModel
 from lacuna.tensor import gap, mix_scales
 from lacuna.textures import toy_dataset
 from lacuna.train import (
@@ -219,7 +219,9 @@ def registry_gradients(model, feats, labels, idx):
     fused = lac[:, :, 0, 0] * gapped
     w, b = model.classifier_w, model.classifier_b
     logits = fused @ w.T + b
-    (d_logits,) = back("softmax_cross_entropy", (logits, labels[idx]), 1.0)
+    loss = gradcheck._OPS["cross_entropy"].forward(logits[None], labels[idx])
+    (d_logits,) = back("cross_entropy", (logits[None], labels[idx]), np.ones(1))
+    d_logits = d_logits[0]
     # the classifier's adjoint, then the product rule: d fused / d lac = gapped
     grads = {"classifier_w": d_logits.T @ fused, "classifier_b": d_logits.sum(axis=0)}
     if model.mix is not None:
@@ -227,7 +229,7 @@ def registry_gradients(model, feats, labels, idx):
         (d_mixed,) = back("gap", (mixed,), d_lac[:, :, None, None])
         _, grads["mix_weights"], grads["mix_bias"] = back(
             "mix_scales", (planes, model.mix), d_mixed)
-    return softmax_cross_entropy(logits, labels[idx]), grads
+    return loss[0], grads
 
 
 @pytest.mark.parametrize("name", sorted(HEADS))
@@ -474,23 +476,22 @@ def test_stacked_step_gradient_matches_registry_chain_per_head():
 
 
 def test_step_gradient_is_the_checked_fusion_head_backward():
-    # `lacuna gradcheck`'s fusion_head row checks the gradient training steps
-    # with: each head's masked gradients are its registry chain's, bit for bit
+    # `lacuna gradcheck`'s cross_entropy and fusion_head rows check the loss
+    # and gradient training steps with: the whole stack's masked gradients
+    # are the registry chain's, bit for bit
     models, feats, labels, idx, state = mixed_stack()
-    state.loss_grad(idx)
+    losses = state.loss_grad(idx)
     logits, _, gapped, pooled = state._forward(idx)
     p = state.params
-    for i in range(len(models)):
-        (d_logits,) = gradcheck.backward("softmax_cross_entropy",
-                                         (logits[i], labels[idx]), 1.0)
-        head = [a[i:i + 1] for a in (p["classifier_w"], p["classifier_b"],
-                                     p["mix_weights"], p["mix_bias"])]
-        grads = gradcheck.backward("fusion_head", (pooled[i:i + 1], gapped, *head),
-                                   d_logits[None])
-        for name, grad in zip(("classifier_w", "classifier_b", "mix_weights",
-                               "mix_bias"), grads, strict=True):
-            mask = state.trainable[name][i] if name in state.trainable else 1.0
-            assert np.array_equal(state.grads[name][i], grad[0] * mask), (i, name)
+    inputs = (logits, labels[idx])
+    assert np.array_equal(gradcheck._OPS["cross_entropy"].forward(*inputs), losses)
+    (d_logits,) = gradcheck.backward("cross_entropy", inputs, np.ones(len(models)))
+    names = ("classifier_w", "classifier_b", "mix_weights", "mix_bias")
+    grads = gradcheck.backward("fusion_head",
+                               (pooled, gapped, *(p[name] for name in names)), d_logits)
+    for name, grad in zip(names, grads, strict=True):
+        mask = state.trainable.get(name, 1.0)
+        assert np.array_equal(state.grads[name], grad * mask), name
 
 
 def test_stacked_step_gradient_matches_central_differences_per_head():
