@@ -74,8 +74,8 @@ class ExperimentConfig:
             raise ExperimentConfigError("need at least ten samples per class")
         if self.image_size < 16:
             raise ExperimentConfigError("image_size must be >= 16")
-        if not self.seeds:
-            raise ExperimentConfigError("need at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ExperimentConfigError("need at least one seed, none negative")
         if self.backbone_channels < 1:
             raise ExperimentConfigError("backbone_channels must be >= 1")
         # the backbone's geometry does not depend on its width

@@ -11,16 +11,17 @@ differences of a randomly projected scalar loss.
 The rig knows each checked op through one record in a private table, from
 which ``BACKWARD`` and ``CHECKED_OPS`` are derived: its forward and
 backward, how the probed arrays become its argument tuple, how they are
-drawn, its suite input and window cycle, and which arrays carry the sample
-axis.  A probe of a sample-axis array copies only the probed sample: its ±h
-copies are stacked along that axis with other probes' copies, several per
-forward under a fixed byte budget, and each copy's output is the base output
-with that sample's row replaced.  The multiscale record splits its forward
-into planes and mix, so a check builds the pyramid planes once and every
-probe of a mix weight or bias re-runs only the mix.  The resulting reports
-equal a one-probe-at-a-time sweep's.  A non-finite analytic gradient or
-numeric slope fails the check.  `probes` below 1, a `tol` or `h` that is not
-positive and finite, and an empty seed list raise ValueError.
+drawn, its suite input and window cycle, and whether it acts by sample.  Its
+input x is the one array stacked by sample: a probe of x copies only the
+probed sample's row, its ±h copies are stacked along axis 0 with other
+probes' copies, several per forward under a fixed byte budget, and each
+copy's output is the base output with that row replaced.  The multiscale
+record splits its forward into planes and mix, so a check builds the pyramid
+planes once and every probe of a mix weight or bias re-runs only the mix.
+The resulting reports equal a one-probe-at-a-time sweep's.  A non-finite
+analytic gradient or numeric slope fails the check.  `probes` below 1, a
+`tol` or `h` that is not positive and finite, and an empty seed list raise
+ValueError.
 
 Conventions: max-pooling routes gradient to the first maximal cell in
 row-major window order; the lacunarity output clamp ``max(L, 0)`` uses
@@ -42,12 +43,11 @@ from .lacunarity import (
     _BLUR_TAPS,
     LacunarityConfig,
     _checked_mix,
-    _expect_method,
     _mixed,
     _multiscale_pass,
-    _ratio_from_sums,
+    _ratio_terms,
     _reflect_index,
-    _scaled_for_sums,
+    _squashed,
     base_lacunarity,
     multiscale_lacunarity,
     multiscale_scale_planes,
@@ -140,17 +140,16 @@ def vjp_pool_max(upstream, x, spec):
 
 
 def _vjp_variance_ratio(upstream, x, spec, epsilon):
-    """Gradient of the clamped variance-to-squared-mean ratio.
+    """Gradient of the clamped variance-to-squared-mean ratio of checked map
+    `x`, whose shape `upstream` must have.
 
-    The input is scaled as `variance_ratio` scales it, and the gradient
-    scaled back.  The s1 term divides by the denominator twice, never by its
-    square, so the forward's 2^511 bound serves here too and a tiny map
-    with a tiny epsilon keeps a finite gradient.
+    The scaled input, window sums and ratio are `variance_ratio`'s own, and
+    the gradient is scaled back.  The s1 term divides by the denominator
+    twice, never by its square, so the forward's 2^511 bound serves here too
+    and a tiny map with a tiny epsilon keeps a finite gradient.
     """
-    x, epsilon, shift = _scaled_for_sums(x, spec.area, epsilon)
-    s1 = pool_sum(x, spec)
-    s2 = pool_sum(x * x, spec)
-    ratio = _ratio_from_sums(spec.area, s1, s2, epsilon)
+    x, epsilon, shift, s1, s2, ratio = _ratio_terms(x, spec, epsilon)
+    upstream = _expect(upstream, ratio.shape)
     # a clamped window and one whose ratio is +inf contribute 0: an infinite
     # denominator zeroes both terms without overflowing either
     live = (ratio > 0.0) & (ratio < math.inf)
@@ -164,13 +163,8 @@ def _vjp_variance_ratio(upstream, x, spec, epsilon):
 
 
 def vjp_base_lacunarity(upstream, x, cfg):
-    _expect_method(cfg, "base")
-    x = as_feature_map(x)
-    xs = tanh_scale(x) if cfg.normalize_input else x
-    spec = cfg.resolve_window(xs)
-    upstream = _expect(
-        upstream, (*xs.shape[:2], *spec.out_size(xs.shape[2], xs.shape[3])))
-    g = _vjp_variance_ratio(upstream, xs, spec, cfg.epsilon)
+    xs = _squashed(x, cfg, "base")
+    g = _vjp_variance_ratio(upstream, xs, cfg.resolve_window(xs), cfg.epsilon)
     return vjp_tanh_scale(g, x) if cfg.normalize_input else (g,)
 
 
@@ -287,13 +281,10 @@ def vjp_multiscale_lacunarity(upstream, x, cfg, mix=None):
     the stride-2 blur pyramid steps (coarse to fine), and the input
     squashing; `mix=None` differentiates the forward's uniform mix.
     """
-    _expect_method(cfg, "multiscale")
-    x = as_feature_map(x)
-    xs = tanh_scale(x) if cfg.normalize_input else x
-    levels, specs, maps, stacked = _multiscale_pass(xs, cfg)
+    levels, specs, maps, stacked = _multiscale_pass(_squashed(x, cfg, "multiscale"), cfg)
     mix = _checked_mix(stacked, cfg, mix)
     d_stacked, d_weights, d_bias = backward("mix_scales", (stacked, mix), upstream)
-    d_ups = d_stacked.reshape(*x.shape[:2], cfg.scales, *stacked.shape[2:])
+    d_ups = d_stacked.reshape(len(stacked), -1, cfg.scales, *stacked.shape[2:])
     carry = None  # the gradient at the next coarser level
     for k in range(cfg.scales - 1, -1, -1):
         g = d_ups[:, :, k]
@@ -351,16 +342,16 @@ class _Op:
     (mostly x, then weights drawn from `rng`; `fusion_head` probes only its
     weights, and x's GAP vectors join its context) and a context that is
     never probed; `args(arrays, context)` is the argument tuple of both
-    `forward` and `vjp`.  The op acts sample by sample along axis 0 of the arrays in
-    `sample_axis`: row i of its output depends only on row i of each of
-    them.
+    `forward` and `vjp`.  With `sample_axis`, `arrays[0]` (x) is the one
+    array stacked by sample: the op acts sample by sample along axis 0 of
+    x, row i of its output depending only on row i of x.
     `suite_input(rng)` and `suite_params(i)` are the suite's input and the
     params of its i-th seed.
 
     An op whose forward is planes then a mix sets `planes(arrays, context)`,
-    which reads only the sample-axis arrays, and `mix(planes, arrays,
-    context)`, which gives `forward`'s output bits from them; a probe of any
-    other array then re-runs only the mix.
+    which reads only x, and `mix(planes, arrays, context)`, which gives
+    `forward`'s output bits from them; a probe of any other array then
+    re-runs only the mix.
     """
 
     forward: Callable
@@ -369,7 +360,7 @@ class _Op:
     args: Callable
     suite_input: Callable
     suite_params: Callable = lambda i: {}
-    sample_axis: tuple = (0,)
+    sample_axis: bool = True
     planes: Callable | None = None
     mix: Callable | None = None
 
@@ -445,7 +436,7 @@ _OPS = {
     "fusion_head": _Op(
         lambda *args: _checked_head(*args)[0], vjp_fusion_head, _setup_head,
         lambda a, features: (*features, *a),
-        lambda rng: rng.uniform(0.0, 2.0, size=(4, 3, 1, 1)), sample_axis=()),
+        lambda rng: rng.uniform(0.0, 2.0, size=(4, 3, 1, 1)), sample_axis=False),
     "cross_entropy": _Op(
         lambda logits, labels: _checked_loss(logits, labels)[0], vjp_cross_entropy,
         lambda x, rng, p: ([x.reshape(*x.shape[:2], -1)],
@@ -468,37 +459,33 @@ CHECKED_OPS = tuple(_OPS)
 
 
 def _forward(op: _Op, arrays: list, context, planes=None) -> np.ndarray:
-    """The op's output; with `planes` (of these sample-axis arrays), the mix."""
+    """The op's output; with `planes` (of this x), the mix."""
     if planes is None:
         return np.asarray(op.forward(*op.args(arrays, context)))
     return np.asarray(op.mix(planes, arrays, context))
 
 
 def _stacked_losses(op: _Op, arrays: list, context, proj: np.ndarray,
-                    out: np.ndarray, which: np.ndarray, offsets: np.ndarray,
-                    h: float, per_forward: int) -> np.ndarray:
-    """(+h, -h) losses of sample-axis coordinates, in forwards of at most
-    `per_forward` probes each.
+                    out: np.ndarray, offsets: np.ndarray, h: float,
+                    per_forward: int) -> np.ndarray:
+    """(+h, -h) losses of the coordinates of x at flat `offsets`, in forwards
+    of at most `per_forward` probes each.
 
     Probe m's +h copy is copy 2m and its -h copy is copy 2m + 1; each copy
-    holds only the probed sample's row of every sample-axis array.
+    holds only the probed sample's row of x.
     """
-    probed = np.repeat(which, 2)
-    row_size = np.array([a.size // len(out) for a in arrays])
-    sample, cell = np.divmod(np.repeat(offsets, 2), row_size[probed])
-    step = np.where(np.arange(len(probed)) % 2, -h, h)
-    losses = np.empty(len(probed))
-    for start in range(0, len(probed), 2 * per_forward):
+    x = arrays[0]
+    sample, cell = np.divmod(np.repeat(offsets, 2), x.size // len(out))
+    step = np.where(np.arange(len(sample)) % 2, -h, h)
+    losses = np.empty(len(sample))
+    for start in range(0, len(sample), 2 * per_forward):
         at = slice(start, start + 2 * per_forward)
         rows = sample[at]
         copy = np.arange(len(rows))
-        tiled = list(arrays)
-        for j in op.sample_axis:
-            mine = probed[at] == j
-            tiled[j] = arrays[j][rows]
-            tiled[j].reshape(len(rows), -1)[copy[mine], cell[at][mine]] += step[at][mine]
+        tiled = x[rows]
+        tiled.reshape(len(rows), -1)[copy, cell[at]] += step[at]
         full = np.repeat(out[None], len(rows), axis=0)
-        full[copy, rows] = _forward(op, tiled, context)
+        full[copy, rows] = _forward(op, [tiled, *arrays[1:]], context)
         losses[at] = (proj * full).reshape(len(rows), -1).sum(axis=1)
     return losses.reshape(-1, 2)
 
@@ -510,32 +497,30 @@ def _probe_losses(op: _Op, arrays: list, context, proj: np.ndarray,
     `out` is the op's output at `arrays`, and `planes` the op's planes there
     (None for an op without a planes/mix split).
 
-    A coordinate in a sample-axis array is probed in a stacked forward: its
-    +h and -h copies hold only the probed sample's row of every sample-axis
-    array and are tiled along axis 0 with other probes' copies.  Each copy's
-    full output is `out` with that sample's row replaced by the copy's
-    forward row.  At most `_PROBE_BATCH_BYTES` of input and output copies
-    go into one forward.  Because the op acts sample by sample, each copy's
-    loss is the one a lone forward would give.  Other coordinates (weights,
-    biases, and arrays without a sample axis) are probed one forward at a
-    time in place; with `planes`, that forward is only the mix.
+    A coordinate of x, when the op acts by sample, is probed in a stacked
+    forward: its +h and -h copies hold only the probed sample's row of x and
+    are tiled along axis 0 with other probes' copies.  Each copy's full
+    output is `out` with that sample's row replaced by the copy's forward
+    row.  At most `_PROBE_BATCH_BYTES` of input and output copies go into
+    one forward.  Because the op acts sample by sample, each copy's loss is
+    the one a lone forward would give.  Other coordinates (weights, biases,
+    and an x without a sample axis) are probed one forward at a time in
+    place; with `planes`, a probe of any array but x runs only the mix.
     """
     bounds = np.cumsum([0] + [a.size for a in arrays])
     which = np.searchsorted(bounds, coords, side="right") - 1
     offsets = coords - bounds[which]
     losses = np.empty((len(coords), 2))
-    per_forward = 0
-    if op.sample_axis:
-        row_bytes = sum(arrays[j].nbytes for j in op.sample_axis) // len(out)
-        per_forward = _PROBE_BATCH_BYTES // (2 * (row_bytes + out.nbytes))
-    stacked = np.isin(which, op.sample_axis) & (per_forward > 0)
-    batch = np.flatnonzero(stacked)
-    if len(batch):
-        losses[batch] = _stacked_losses(op, arrays, context, proj, out, which[batch],
-                                        offsets[batch], h, per_forward)
+    # x's probes per stacked forward: none when x has no sample axis
+    per_forward = op.sample_axis and _PROBE_BATCH_BYTES // (
+        2 * (arrays[0].nbytes // len(out) + out.nbytes))
+    stacked = (which == 0) & (per_forward > 0)
+    if per_forward:
+        losses[stacked] = _stacked_losses(op, arrays, context, proj, out,
+                                          offsets[stacked], h, per_forward)
     for p in np.flatnonzero(~stacked):
         target, off = arrays[which[p]], offsets[p]
-        mix_of = None if which[p] in op.sample_axis else planes
+        mix_of = planes if which[p] else None
         old = target.flat[off]
         for k, value in enumerate((old + h, old - h)):
             target.flat[off] = value
@@ -564,9 +549,9 @@ def finite_diff_check(op_id: str, x: np.ndarray, h: float = 1e-5,
     backward scaled by 1 + 1e-3 misses by over 10^7 units on every op.
 
     The at most ``probes + 10`` coordinates the sweep can visit are probed
-    up front, those of inputs with a sample axis in stacked one-sample
-    forwards (see :func:`_probe_losses`), and the selection above is
-    replayed over their losses in array operations; the report equals a
+    up front, those of an x that carries the sample axis in stacked
+    one-sample forwards (see :func:`_probe_losses`), and the selection above
+    is replayed over their losses in array operations; the report equals a
     one-probe-at-a-time sweep's.  An op with a planes/mix split builds its
     planes once per check: the base output and every probe of a mix weight
     or bias re-run only the mix.

@@ -11,7 +11,9 @@ Three ways to turn a feature map into a gappiness measure:
   Gaussian pyramid, upsampled to a common resolution and mixed per channel.
 
 Inputs are optionally squashed to pixel range first (:func:`tanh_scale`) so
-feature values of any magnitude land in (0, 255).
+feature values of any magnitude land in (0, 255).  `_squashed` (method check
+and squash) and `_ratio_terms` (rescale, window sums and ratio) are the
+front half that these forwards and their backwards in `gradcheck` share.
 
 :func:`scale_planes` is the only code that turns a method name into planes,
 for these three methods and the avg/max/l2 pooling baselines.
@@ -135,21 +137,19 @@ def variance_ratio(x: np.ndarray, spec: PoolSpec, epsilon: float) -> np.ndarray:
     sums; they are first scaled by an exact power of two (and epsilon by its
     square, kept above zero) so the ratio comes out finite.
     """
-    x = as_feature_map(x)
-    x, epsilon, _ = _scaled_for_sums(x, spec.area, epsilon)
-    return _ratio_from_sums(spec.area, pool_sum(x, spec), pool_sum(x * x, spec),
-                            epsilon)
+    return _ratio_terms(as_feature_map(x), spec, epsilon)[-1]
 
 
-def _scaled_for_sums(x: np.ndarray, area: int, epsilon: float):
-    """`x` times 2^k and `epsilon` times 2^2k (kept above 0), and k, for
-    `_sum_shift`'s k: the ratio of every `area`-cell window is unchanged,
-    and below the bound (k = 0) so are the arrays."""
-    shift = _sum_shift(x, area)
+def _ratio_terms(x: np.ndarray, spec: PoolSpec, epsilon: float):
+    """`variance_ratio`'s terms on checked map `x`: for `_sum_shift`'s k, x * 2^k,
+    epsilon * 4^k (kept above 0), k, the window sums of x and x^2, the ratio."""
+    shift = _sum_shift(x, spec.area)
     if shift:
         x = np.ldexp(x, shift)
         epsilon = max(math.ldexp(epsilon, 2 * shift), math.ulp(0.0))
-    return x, epsilon, shift
+    s1 = pool_sum(x, spec)
+    s2 = pool_sum(x * x, spec)
+    return x, epsilon, shift, s1, s2, _ratio_from_sums(spec.area, s1, s2, epsilon)
 
 
 def _ratio_from_sums(area, s1, s2, epsilon):
@@ -159,18 +159,17 @@ def _ratio_from_sums(area, s1, s2, epsilon):
         return np.maximum(area * s2 / (s1 * s1 + epsilon) - 1.0, 0.0)
 
 
-def _expect_method(cfg: LacunarityConfig, method: str) -> None:
-    """Raise ValueError unless `cfg` selects `method`."""
+def _squashed(x: np.ndarray, cfg: LacunarityConfig, method: str) -> np.ndarray:
+    """`x` as the `method` operator reads it, squashed if `cfg.normalize_input`
+    and else checked; raises ValueError unless `cfg` selects `method`."""
     if cfg.method != method:
         raise ValueError(f"config method is {cfg.method!r}, expected {method!r}")
+    return tanh_scale(x) if cfg.normalize_input else as_feature_map(x)
 
 
 def base_lacunarity(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     """Gliding-box lacunarity of each window."""
-    _expect_method(cfg, "base")
-    x = as_feature_map(x)
-    if cfg.normalize_input:
-        x = tanh_scale(x)
+    x = _squashed(x, cfg, "base")
     return variance_ratio(x, cfg.resolve_window(x), cfg.epsilon)
 
 
@@ -243,8 +242,7 @@ def dbc_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     Each dilation's masses are the unpadded sum pooling of its heights with
     the window's kernel and stride.
     """
-    _expect_method(cfg, "dbc")
-    x = tanh_scale(x)
+    x = _squashed(x, cfg, "dbc")  # the config keeps normalize_input on
     window = cfg.resolve_window(x)
     stacked = None  # (N, C, R, H', W'), sized by the first dilation's masses
     for i, r in enumerate(cfg.dilation_set):
@@ -344,11 +342,7 @@ def multiscale_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     configured window, and every coarser level's map is upsampled to the
     finest level's map size before stacking.
     """
-    _expect_method(cfg, "multiscale")
-    x = as_feature_map(x)
-    if cfg.normalize_input:
-        x = tanh_scale(x)
-    return _multiscale_pass(x, cfg)[3]
+    return _multiscale_pass(_squashed(x, cfg, "multiscale"), cfg)[3]
 
 
 def multiscale_lacunarity(x: np.ndarray, cfg: LacunarityConfig,

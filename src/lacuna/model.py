@@ -303,9 +303,9 @@ class FusionModel:
         if self.classifier_b.shape != self.classifier_w.shape[:1]:
             raise ShapeMismatchError(f"classifier bias {self.classifier_b.shape} "
                                      f"for weights {self.classifier_w.shape}")
-        if self.mix is not None and self.mix.scales != self.scale_count:
-            raise ShapeMismatchError(f"mix carries {self.mix.scales} scale "
-                                     f"slots, branch makes {self.scale_count}")
+        need = (*self.classifier_w.shape[1:], self.scale_count)  # (C, S)
+        if self.mix is not None and self.mix.weights.shape != need:
+            raise ShapeMismatchError(f"mix weights {self.mix.weights.shape}, not {need}")
 
     @classmethod
     def build(cls, channels: int, pooling: LacunarityConfig,
@@ -347,12 +347,16 @@ class FusionModel:
         feature cells each, at least one sample) and each block's spatial
         means written into the one output, so the planes' temporaries never
         hold more than one block.  Every stage acts sample by sample, so the
-        result equals one whole-batch pass bit for bit.
+        result equals one whole-batch pass bit for bit.  Raises
+        ShapeMismatchError unless the features have the head's channel count.
         """
         feats = np.asarray(feats)
         if feats.ndim != 4 or feats.size == 0:
             as_feature_map(feats, "features")  # raises the shape error
         n, c = feats.shape[:2]
+        if c != self.classifier_w.shape[1]:
+            raise ShapeMismatchError(f"features have {c} channels, "
+                                     f"head takes {self.classifier_w.shape[1]}")
         out = np.empty((n, c, self.scale_count))
         step = max(1, _BLOCK_CELLS // math.prod(feats.shape[1:]))
         for i in range(0, n, step):

@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if not 0 <= self.early_stop_patience < self.max_epochs:
             raise ValueError("early_stop_patience must sit below max_epochs")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def split_indices(labels: np.ndarray, seed: int

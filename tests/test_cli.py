@@ -259,6 +259,7 @@ def test_experiment_config_unknown_key_or_section_exits_1(tmp_path, capsys, edit
     ("dbc", "dilations = 0"),
     ("dbc", "dilations = 2, 1"),
     ("dbc", "image_size = 16"),  # 2x2 features
+    ("avg", "seeds = 0, -1"),  # the backbone and the split take no negative seed
 ])
 def test_experiment_config_its_pooling_cannot_run_exits_1(
         tmp_path, capsys, monkeypatch, methods, setting):

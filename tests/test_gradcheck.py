@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -196,6 +197,24 @@ def test_unknown_op_and_shape_errors():
         backward("multiscale_lacunarity",
                  (x, LacunarityConfig(method="base"), GroupedMixWeights.uniform(1, 2)),
                  np.ones((1, 1, 1, 1)))
+    # the lacunarity backwards check and squash x as their forwards do
+    nan = np.ones((1, 2, 4, 4))
+    nan[0, 1, 2, 2] = np.nan
+    for bad in (nan, np.ones((2, 4, 4))):
+        for norm in (True, False):
+            for forward, op_id, method in ((base_lacunarity, "base_lacunarity", "base"),
+                                           (multiscale_lacunarity, "multiscale_lacunarity",
+                                            "multiscale")):
+                cfg = LacunarityConfig(method=method, normalize_input=norm)
+                with pytest.raises(ValueError) as want:
+                    forward(bad, cfg)
+                with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                    backward(op_id, (bad, cfg), np.ones((1, 2, 1, 1)))
+    # an upstream shaped for a strided window, not the 3x3 map of a gliding one
+    for norm in (True, False):
+        cfg = LacunarityConfig(window=PoolSpec.square(2, stride=1), normalize_input=norm)
+        with pytest.raises(ShapeMismatchError, match=r"forward output \(1, 1, 3, 3\)"):
+            backward("base_lacunarity", (x, cfg), np.ones((1, 1, 2, 2)))
     # a backward raises its forward's error on the forward's bad arguments
     a = np.ones((2, 3, 4, 4))
     for raise_it in (lambda: upsample_bilinear(a, 0, 5),
@@ -769,9 +788,7 @@ def test_each_op_acts_sample_by_sample(op_id, cycle):
     picks = [[s, s] for s in range(len(whole))]
     picks += [[1, 0], rng.integers(0, len(whole), size=74)]
     for rows in picks:
-        part = list(arrays)
-        for j in op.sample_axis:
-            part[j] = arrays[j][rows]
+        part = [arrays[0][rows], *arrays[1:]]
         assert np.array_equal(np.asarray(op.forward(*op.args(part, context))),
                               whole[rows])
 

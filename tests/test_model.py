@@ -363,7 +363,8 @@ def test_pooled_peak_grows_only_with_its_output(name):
 
 def test_pooled_rejects_malformed_features():
     model = FusionModel.build(4, LacunarityConfig(method="avg"), num_classes=2, seed=0)
-    for bad in (np.zeros((0, 4, 7, 7)), np.zeros((4, 7, 7)), np.zeros(3)):
+    for bad in (np.zeros((0, 4, 7, 7)), np.zeros((4, 7, 7)), np.zeros(3),
+                np.zeros((2, 8, 7, 7))):  # features wider than the head
         with pytest.raises(ShapeMismatchError):
             model.pooled(bad)
     nan = relu_feats(40, c=4)
@@ -465,11 +466,13 @@ def test_mix_scale_slot_mismatch_rejected():
     cfg = LacunarityConfig(method="multiscale", scales=3)
     good = FusionModel.build(4, cfg, num_classes=2, seed=0)
     from lacuna.tensor import GroupedMixWeights
-    with pytest.raises(ShapeMismatchError):
-        FusionModel(pooling=cfg,
-                    classifier_w=good.classifier_w,
-                    classifier_b=good.classifier_b,
-                    mix=GroupedMixWeights.uniform(4, 2))
+    for mix in (GroupedMixWeights.uniform(4, 2),  # two slots, branch makes three
+                GroupedMixWeights.uniform(3, 3)):  # three channels, classifier takes four
+        with pytest.raises(ShapeMismatchError):
+            FusionModel(pooling=cfg,
+                        classifier_w=good.classifier_w,
+                        classifier_b=good.classifier_b,
+                        mix=mix)
 
 
 def test_build_rejects_single_class():

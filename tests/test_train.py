@@ -7,7 +7,7 @@ import pytest
 from lacuna import gradcheck, lacunarity, model as model_mod, tensor
 from lacuna.lacunarity import LacunarityConfig
 from lacuna.model import FrozenBackbone, FusionModel
-from lacuna.tensor import gap, mix_scales
+from lacuna.tensor import ShapeMismatchError, gap, mix_scales
 from lacuna.textures import toy_dataset
 from lacuna.train import (
     Adam,
@@ -41,6 +41,8 @@ def test_config_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=5, early_stop_patience=5)
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
     for rate in (math.nan, math.inf):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=rate)
@@ -437,6 +439,21 @@ def test_heads_with_mismatched_shapes_raise():
     with pytest.raises(ValueError):
         train_heads([], feats, labels,
                     TrainConfig(max_epochs=2, early_stop_patience=1))
+
+
+@pytest.mark.parametrize("width", [1, 16])
+def test_head_and_features_of_different_widths_raise(width):
+    # numpy broadcasts a 1-channel head over 8-channel features
+    _, feats, labels = toy_setup(channels=8)
+    for method in ("avg", "multiscale"):
+        model = FusionModel.build(width, LacunarityConfig(method=method), 3, seed=0)
+        for raise_it in (lambda: model.head(feats),
+                         lambda: evaluate(model, feats, labels),
+                         lambda: train_heads([model], feats, labels, TrainConfig(
+                             max_epochs=2, early_stop_patience=1))):
+            with pytest.raises(ShapeMismatchError,
+                               match=f"features have 8 channels, head takes {width}$"):
+                raise_it()
 
 
 MIXED = ("avg", "dbc", "base", "multiscale")
