@@ -58,6 +58,7 @@ from .tensor import (
     GroupedMixWeights,
     PoolSpec,
     ShapeMismatchError,
+    _feature_rows,
     _padded,
     _resample_axis,
     _window_cells,
@@ -139,32 +140,37 @@ def vjp_pool_max(upstream, x, spec):
                           _winner_offsets(x, spec, best)),)
 
 
-def _vjp_variance_ratio(upstream, x, spec, epsilon):
-    """Gradient of the clamped variance-to-squared-mean ratio of checked map
-    `x`, whose shape `upstream` must have.
+def _vjp_variance_ratio(upstream, xx, spec, epsilon):
+    """Gradient of the clamped variance-to-squared-mean ratio of the checked
+    map x in the first N rows of the (2N, C, H, W) buffer `xx`, which
+    `_ratio_terms` takes; `upstream` must have the ratio's shape.
 
     The scaled input, window sums and ratio are `variance_ratio`'s own, and
     the gradient is scaled back.  The s1 term divides by the denominator
     twice, never by its square, so the forward's 2^511 bound serves here too
-    and a tiny map with a tiny epsilon keeps a finite gradient.
+    and a tiny map with a tiny epsilon keeps a finite gradient.  The
+    upstreams of both sums are stacked like the buffer, so one scatter walk
+    routes both.
     """
-    x, epsilon, shift, s1, s2, ratio = _ratio_terms(x, spec, epsilon)
+    x, epsilon, shift, s1, s2, ratio = _ratio_terms(xx, spec, epsilon)
     upstream = _expect(upstream, ratio.shape)
     # a clamped window and one whose ratio is +inf contribute 0: an infinite
     # denominator zeroes both terms without overflowing either
     live = (ratio > 0.0) & (ratio < math.inf)
     denom = np.where(live, s1 * s1 + epsilon, math.inf)
     g = upstream * live
-    d_s2 = g * (spec.area / denom)
-    d_s1 = g * (-2.0 * spec.area * (s2 / denom) * (s1 / denom))
-    h, w = x.shape[2], x.shape[3]
-    g = _scatter_pool(d_s1, spec, h, w) + 2.0 * x * _scatter_pool(d_s2, spec, h, w)
+    n = len(x)
+    d_sums = np.empty((2 * n, *g.shape[1:]))  # d_s1, then d_s2
+    np.multiply(g, -2.0 * spec.area * (s2 / denom) * (s1 / denom), out=d_sums[:n])
+    np.multiply(g, spec.area / denom, out=d_sums[n:])
+    scattered = _scatter_pool(d_sums, spec, x.shape[2], x.shape[3])
+    g = scattered[:n] + 2.0 * x * scattered[n:]
     return np.ldexp(g, shift) if shift else g
 
 
 def vjp_base_lacunarity(upstream, x, cfg):
-    xs = _squashed(x, cfg, "base")
-    g = _vjp_variance_ratio(upstream, xs, cfg.resolve_window(xs), cfg.epsilon)
+    xx = _squashed(x, cfg, "base", rows=2)
+    g = _vjp_variance_ratio(upstream, xx, cfg.resolve_window(xx), cfg.epsilon)
     return vjp_tanh_scale(g, x) if cfg.normalize_input else (g,)
 
 
@@ -281,7 +287,8 @@ def vjp_multiscale_lacunarity(upstream, x, cfg, mix=None):
     the stride-2 blur pyramid steps (coarse to fine), and the input
     squashing; `mix=None` differentiates the forward's uniform mix.
     """
-    levels, specs, maps, stacked = _multiscale_pass(_squashed(x, cfg, "multiscale"), cfg)
+    levels, specs, maps, stacked = _multiscale_pass(
+        _squashed(x, cfg, "multiscale", rows=2), cfg)
     mix = _checked_mix(stacked, cfg, mix)
     d_stacked, d_weights, d_bias = backward("mix_scales", (stacked, mix), upstream)
     d_ups = d_stacked.reshape(len(stacked), -1, cfg.scales, *stacked.shape[2:])
@@ -290,7 +297,7 @@ def vjp_multiscale_lacunarity(upstream, x, cfg, mix=None):
         g = d_ups[:, :, k]
         if maps[k].shape != g.shape:
             (g,) = backward("upsample_bilinear", (maps[k], *g.shape[2:]), g)
-        g = _vjp_variance_ratio(g, levels[k], specs[k], cfg.epsilon)
+        g = _vjp_variance_ratio(g, _feature_rows(levels[k], 2), specs[k], cfg.epsilon)
         carry = g if carry is None else g + _blur_adjoint(
             carry, *levels[k].shape[2:], 2)
     if cfg.normalize_input:

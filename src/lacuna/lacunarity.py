@@ -3,7 +3,8 @@
 Three ways to turn a feature map into a gappiness measure:
 
 * gliding-box lacunarity: per-window variance over squared mean, computed
-  from two sum-pooling passes;
+  from the window sums of x and x^2, both taken by one pooling walk over x
+  stacked with its square along the batch axis;
 * box-counting lacunarity: stacked fixed-height boxes between the window's
   gray-level extremes, evaluated at several dilation factors and mixed back
   to the input channel count;
@@ -11,9 +12,13 @@ Three ways to turn a feature map into a gappiness measure:
   Gaussian pyramid, upsampled to a common resolution and mixed per channel.
 
 Inputs are optionally squashed to pixel range first (:func:`tanh_scale`) so
-feature values of any magnitude land in (0, 255).  `_squashed` (method check
-and squash) and `_ratio_terms` (rescale, window sums and ratio) are the
-front half that these forwards and their backwards in `gradcheck` share.
+feature values of any magnitude land in (0, 255).  `_squashed` (method check,
+finiteness check and squash) and `_ratio_terms` (rescale, window sums and
+ratio) are the front half that these forwards and their backwards in
+`gradcheck` share.  `_squashed` checks and squashes the map in place in the
+first half of a buffer twice its size, and `_ratio_terms` writes the square
+into the second half, so the map is scanned for NaN and inf once and the
+pooling walk does not scan it again.
 
 :func:`scale_planes` is the only code that turns a method name into planes,
 for these three methods and the avg/max/l2 pooling baselines.
@@ -38,6 +43,8 @@ import numpy as np
 from .tensor import (
     GroupedMixWeights,
     PoolSpec,
+    _feature_rows,
+    _pool,
     _sum_shift,
     _window_cells,
     as_feature_map,
@@ -120,7 +127,13 @@ class LacunarityConfig:
 
 def tanh_scale(x: np.ndarray) -> np.ndarray:
     """Squash any real input into (0, 255): ((tanh(x) + 1) / 2) * 255."""
-    out = np.tanh(as_feature_map(x))
+    return _tanh_scaled(as_feature_map(x), None)
+
+
+def _tanh_scaled(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """`tanh_scale` of checked map `x`, written into `out` (which may be `x`)
+    when given."""
+    out = np.tanh(x, out=out)
     out += 1.0
     out *= 255.0 / 2.0
     return out
@@ -137,18 +150,29 @@ def variance_ratio(x: np.ndarray, spec: PoolSpec, epsilon: float) -> np.ndarray:
     sums; they are first scaled by an exact power of two (and epsilon by its
     square, kept above zero) so the ratio comes out finite.
     """
-    return _ratio_terms(as_feature_map(x), spec, epsilon)[-1]
+    return _ratio_terms(_feature_rows(x, 2), spec, epsilon)[-1]
 
 
-def _ratio_terms(x: np.ndarray, spec: PoolSpec, epsilon: float):
-    """`variance_ratio`'s terms on checked map `x`: for `_sum_shift`'s k, x * 2^k,
-    epsilon * 4^k (kept above 0), k, the window sums of x and x^2, the ratio."""
-    shift = _sum_shift(x, spec.area)
+def _ratio_terms(xx: np.ndarray, spec: PoolSpec, epsilon: float):
+    """`variance_ratio`'s terms from `xx`, a (2N, C, H, W) buffer whose first
+    N rows hold checked map x and whose last N rows this fills: for
+    `_sum_shift`'s k (read from x alone), x * 2^k, epsilon * 4^k (kept above
+    0), k, the window sums of x * 2^k and of its square, and the ratio.
+
+    The square goes into the buffer's last N rows, and one pooling walk over
+    the buffer takes both sums.  A rescaled x is written into a new buffer,
+    so the first N rows of `xx` are never changed."""
+    n = len(xx) // 2
+    shift = _sum_shift(xx[:n], spec.area)
     if shift:
-        x = np.ldexp(x, shift)
+        scaled = np.empty_like(xx)
+        np.ldexp(xx[:n], shift, out=scaled[:n])
+        xx = scaled
         epsilon = max(math.ldexp(epsilon, 2 * shift), math.ulp(0.0))
-    s1 = pool_sum(x, spec)
-    s2 = pool_sum(x * x, spec)
+    x = xx[:n]
+    np.multiply(x, x, out=xx[n:])
+    sums = _pool(xx, spec, 0.0, np.add)
+    s1, s2 = sums[:n], sums[n:]
     return x, epsilon, shift, s1, s2, _ratio_from_sums(spec.area, s1, s2, epsilon)
 
 
@@ -159,18 +183,25 @@ def _ratio_from_sums(area, s1, s2, epsilon):
         return np.maximum(area * s2 / (s1 * s1 + epsilon) - 1.0, 0.0)
 
 
-def _squashed(x: np.ndarray, cfg: LacunarityConfig, method: str) -> np.ndarray:
+def _squashed(x: np.ndarray, cfg: LacunarityConfig, method: str,
+              rows: int = 1) -> np.ndarray:
     """`x` as the `method` operator reads it, squashed if `cfg.normalize_input`
-    and else checked; raises ValueError unless `cfg` selects `method`."""
+    and else checked, in the first N rows of a new (rows * N, C, H, W) buffer
+    (`tensor._feature_rows`), squashed in place there; raises ValueError
+    unless `cfg` selects `method`."""
     if cfg.method != method:
         raise ValueError(f"config method is {cfg.method!r}, expected {method!r}")
-    return tanh_scale(x) if cfg.normalize_input else as_feature_map(x)
+    xx = _feature_rows(x, rows)
+    if cfg.normalize_input:
+        head = xx[:len(xx) // rows]
+        _tanh_scaled(head, head)
+    return xx
 
 
 def base_lacunarity(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     """Gliding-box lacunarity of each window."""
-    x = _squashed(x, cfg, "base")
-    return variance_ratio(x, cfg.resolve_window(x), cfg.epsilon)
+    xx = _squashed(x, cfg, "base", rows=2)
+    return _ratio_terms(xx, cfg.resolve_window(xx), cfg.epsilon)[-1]
 
 
 def _dbc_specs(window: PoolSpec, r: int) -> tuple[PoolSpec, PoolSpec]:
@@ -321,16 +352,25 @@ def gaussian_pyramid(x: np.ndarray, levels: int) -> list[np.ndarray]:
     return out
 
 
-def _multiscale_pass(xs: np.ndarray, cfg: LacunarityConfig):
-    """Pyramid levels of the squashed input `xs`, their windows, their ratio
-    maps and the maps upsampled and stacked channel-major (N, C*S, H', W')."""
-    levels = gaussian_pyramid(xs, cfg.scales)
+def _multiscale_pass(xx: np.ndarray, cfg: LacunarityConfig):
+    """Pyramid levels of the squashed input in the first N rows of the
+    (2N, C, H, W) buffer `xx` (`_squashed`'s), their windows, their ratio
+    maps and the maps upsampled and stacked channel-major (N, C*S, H', W').
+
+    Each coarser level is stacked with its square only while its sums are
+    taken.  Level 1's square is written into `xx` last, after the pyramid
+    has read level 1 and the coarser levels' buffers are gone, so its pages
+    are touched only then."""
+    n = len(xx) // 2
+    levels = gaussian_pyramid(xx[:n], cfg.scales)
     specs = [cfg.resolve_window(lv) for lv in levels]
-    maps = [variance_ratio(lv, sp, cfg.epsilon) for lv, sp in zip(levels, specs)]
+    maps = [_ratio_terms(_feature_rows(lv, 2), sp, cfg.epsilon)[-1]
+            for lv, sp in zip(levels[1:], specs[1:])]
+    maps.insert(0, _ratio_terms(xx, specs[0], cfg.epsilon)[-1])
     th, tw = maps[0].shape[2:]
     ups = [m if m.shape[2:] == (th, tw) else upsample_bilinear(m, th, tw)
            for m in maps]
-    stacked = np.stack(ups, axis=2).reshape(xs.shape[0], -1, th, tw)
+    stacked = np.stack(ups, axis=2).reshape(n, -1, th, tw)
     return levels, specs, maps, stacked
 
 
@@ -342,7 +382,7 @@ def multiscale_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     configured window, and every coarser level's map is upsampled to the
     finest level's map size before stacking.
     """
-    return _multiscale_pass(_squashed(x, cfg, "multiscale"), cfg)[3]
+    return _multiscale_pass(_squashed(x, cfg, "multiscale", rows=2), cfg)[3]
 
 
 def multiscale_lacunarity(x: np.ndarray, cfg: LacunarityConfig,

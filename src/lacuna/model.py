@@ -300,6 +300,9 @@ class FusionModel:
             raise TypeError(f"pooling must be a LacunarityConfig, got {self.pooling!r}")
         self.classifier_w = np.array(self.classifier_w, dtype=np.float64)
         self.classifier_b = np.array(self.classifier_b, dtype=np.float64)
+        if self.classifier_w.ndim != 2 or 0 in self.classifier_w.shape:
+            raise ShapeMismatchError(f"classifier weights {self.classifier_w.shape}, "
+                                     f"not (K, C) with K, C >= 1")
         if self.classifier_b.shape != self.classifier_w.shape[:1]:
             raise ShapeMismatchError(f"classifier bias {self.classifier_b.shape} "
                                      f"for weights {self.classifier_w.shape}")

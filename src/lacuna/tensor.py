@@ -4,14 +4,20 @@ Everything downstream (lacunarity operators, the fusion model) is composed
 from the primitives in this module.  Feature maps are plain numpy arrays of
 shape (batch, channel, height, width), dtype float64 and finite;
 :func:`as_feature_map` is the single entry point that enforces that
-contract, and only :func:`mix_scales` lets its planes hold +-inf.
+contract, and only :func:`mix_scales` lets its planes hold +-inf.  The
+public pools check their input with it and then hand it to `_pool`, the
+walk, which checks nothing; `_feature_rows` checks a map into the first
+rows of a larger buffer, so a caller can stack more rows beside it.
 Operators allocate their outputs and never write into their arguments;
 in-place arithmetic only touches arrays the operator allocated itself.
 
 All reductions accumulate window cells in row-major order within the window,
 so results are bit-reproducible across runs.  :func:`_window_cells` is the one
 place that fixes that order: the pools here, their adjoints, the pyramid blur
-and the backbone convolution all walk its kernel offsets.
+and the backbone convolution all walk its kernel offsets.  No fold crosses
+the batch axis, so maps stacked along it (the variance ratio stacks a map
+and its square to take both window sums in one walk) keep the bits each has
+when walked alone.
 """
 
 from __future__ import annotations
@@ -41,13 +47,31 @@ def as_feature_map(x, name: str = "x") -> np.ndarray:
 def _as_nchw(x, name: str) -> np.ndarray:
     """`as_feature_map` without the finiteness check."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 4:
-        raise ShapeMismatchError(
-            f"{name} must have shape (N, C, H, W), got ndim={arr.ndim}"
-        )
-    if min(arr.shape) < 1:
-        raise ShapeMismatchError(f"{name} has an empty dimension: {arr.shape}")
+    _check_nchw(arr.shape, name)
     return arr
+
+
+def _check_nchw(shape: tuple, name: str) -> None:
+    if len(shape) != 4:
+        raise ShapeMismatchError(
+            f"{name} must have shape (N, C, H, W), got ndim={len(shape)}"
+        )
+    if min(shape) < 1:
+        raise ShapeMismatchError(f"{name} has an empty dimension: {shape}")
+
+
+def _feature_rows(x, rows: int) -> np.ndarray:
+    """`as_feature_map(x)` in the first N rows of a new float64 buffer of
+    shape (rows * N, C, H, W), whose other rows are left for the caller.  A
+    map of another dtype is cast in the buffer, so it costs no float64 copy
+    of its own."""
+    arr = np.asarray(x)
+    _check_nchw(arr.shape, "x")
+    out = np.empty((rows * arr.shape[0], *arr.shape[1:]))
+    head = out[:arr.shape[0]]
+    head[...] = arr
+    as_feature_map(head)  # the finiteness check, on the cast cells
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,8 +173,12 @@ def _window_cells(spec: PoolSpec, out_h: int, out_w: int):
 
 
 def _pool(x: np.ndarray, spec: PoolSpec, fill: float, combine) -> np.ndarray:
-    """Fold `combine` over every window's cells; `fill` pads and seeds it."""
-    x = as_feature_map(x)
+    """Fold `combine` over every window's cells of checked map `x`; `fill`
+    pads and seeds it.  The walk reads `x` once and does not check it: the
+    public pools check their input first, and the variance ratio stacks a
+    checked map and its square as one `x` so that one walk takes both sums.
+    No fold crosses the batch axis, so each row keeps the bits it has when
+    walked alone."""
     out_h, out_w = spec.out_size(x.shape[2], x.shape[3])
     xp = _padded(x, spec.padding, fill)
     out = np.full((x.shape[0], x.shape[1], out_h, out_w), fill)
@@ -178,7 +206,7 @@ def _sum_shift(x: np.ndarray, area: int) -> int:
 
 def pool_sum(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     """Windowed sum; padded cells contribute 0."""
-    return _pool(x, spec, 0.0, np.add)
+    return _pool(as_feature_map(x), spec, 0.0, np.add)
 
 
 def pool_avg(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
@@ -194,12 +222,12 @@ def pool_avg(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
 
 def pool_max(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     """Windowed maximum over the dilated window positions."""
-    return _pool(x, spec, -np.inf, np.maximum)
+    return _pool(as_feature_map(x), spec, -np.inf, np.maximum)
 
 
 def pool_min(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     """Windowed minimum over the dilated window positions."""
-    return _pool(x, spec, np.inf, np.minimum)
+    return _pool(as_feature_map(x), spec, np.inf, np.minimum)
 
 
 def pool_l2(x: np.ndarray, spec: PoolSpec) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lacuna.gradcheck as gradcheck
+from lacuna import lacunarity, tensor
 from lacuna.gradcheck import (
     CHECKED_OPS,
     GradCheckReport,
@@ -876,3 +877,89 @@ def test_unsquashed_gradient_of_a_huge_map_is_the_scaled_gradient(op_id, k):
     np.testing.assert_allclose(scaled[0], np.ldexp(plain[0], -k), rtol=1e-12, atol=0)
     for got, want in zip(scaled[1:], plain[1:]):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+# ------------------------------------------- one pooling walk for both sums
+
+def _two_walk_terms(xx, spec, epsilon):
+    """`lacunarity._ratio_terms` with each window sum taken by its own
+    `pool_sum` walk over x and over a separate x * x."""
+    x = xx[:len(xx) // 2]
+    shift = tensor._sum_shift(x, spec.area)
+    if shift:
+        x = np.ldexp(x, shift)
+        epsilon = max(math.ldexp(epsilon, 2 * shift), math.ulp(0.0))
+    s1, s2 = pool_sum(x, spec), pool_sum(x * x, spec)
+    return x, epsilon, shift, s1, s2, lacunarity._ratio_from_sums(
+        spec.area, s1, s2, epsilon)
+
+
+def _two_walk_vjp(upstream, xx, spec, epsilon):
+    """`gradcheck._vjp_variance_ratio` with each sum's upstream scattered by
+    its own walk."""
+    x, epsilon, shift, s1, s2, ratio = _two_walk_terms(xx, spec, epsilon)
+    live = (ratio > 0.0) & (ratio < math.inf)
+    denom = np.where(live, s1 * s1 + epsilon, math.inf)
+    g = upstream * live
+    d_s2 = g * (spec.area / denom)
+    d_s1 = g * (-2.0 * spec.area * (s2 / denom) * (s1 / denom))
+    h, w = x.shape[2:]
+    g = (gradcheck._scatter_pool(d_s1, spec, h, w)
+         + 2.0 * x * gradcheck._scatter_pool(d_s2, spec, h, w))
+    return np.ldexp(g, shift) if shift else g
+
+
+def _walk_test_map(kind, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2, 2, int(rng.integers(4, 10)), int(rng.integers(4, 10)))
+    if kind == "ties":  # three levels: many equal cells and flat windows
+        return rng.integers(0, 3, shape) * 0.5
+    if kind == "negzero":  # -0.0 beside 0.0 and a few ones
+        return np.where(rng.random(shape) < 0.2, 1.0, rng.choice([0.0, -0.0], shape))
+    if kind == "float32":
+        return rng.standard_normal(shape).astype(np.float32)
+    if kind == "big":  # x * x near 2^600: no rescale, since x alone is far below it
+        return np.ldexp(rng.standard_normal(shape), 300)
+    return np.ldexp(rng.standard_normal(shape), 1000)  # "huge": rescaled by 2^k
+
+
+def _walk_outputs(x, window, normalize):
+    """The bytes of every forward and backward that takes both window sums."""
+    rng = np.random.default_rng(1)
+    base = LacunarityConfig(window=window, normalize_input=normalize)
+    ms = LacunarityConfig(method="multiscale", window=window, normalize_input=normalize)
+    forwards = [base_lacunarity(x, base), multiscale_scale_planes(x, ms)]
+    if window is not None:
+        forwards.append(lacunarity.variance_ratio(x, window, 1e-6))
+    grads = [*backward("base_lacunarity", (x, base),
+                       rng.standard_normal(forwards[0].shape)),
+             *backward("multiscale_lacunarity", (x, ms),
+                       rng.standard_normal(multiscale_lacunarity(x, ms).shape))]
+    return [a.tobytes() for a in forwards + grads]
+
+
+@pytest.mark.parametrize("kind", ["ties", "negzero", "float32", "big", "huge"])
+@pytest.mark.parametrize("window", [None, PoolSpec.square(2, stride=1),
+                                    PoolSpec.square(3, stride=1, padding=1)],
+                         ids=["global", "2x2", "3x3-pad"])
+def test_one_walk_keeps_the_bits_of_two(kind, window, monkeypatch):
+    for seed in range(3):
+        x = _walk_test_map(kind, seed)
+        for normalize in (True, False):
+            one_walk = _walk_outputs(x, window, normalize)
+            with monkeypatch.context() as m:
+                m.setattr(lacunarity, "_ratio_terms", _two_walk_terms)
+                m.setattr(gradcheck, "_ratio_terms", _two_walk_terms)
+                m.setattr(gradcheck, "_vjp_variance_ratio", _two_walk_vjp)
+                assert _walk_outputs(x, window, normalize) == one_walk, (seed, normalize)
+
+
+@pytest.mark.parametrize("top,shift", [(300, 0), (1000, -497)])
+def test_rescale_exponent_reads_x_not_its_square(top, shift):
+    # an 8x8 window of cells up to 2^top: x * x reaches 2^(2 top), but only
+    # x decides whether the sums need the 2^511 rescale
+    x = np.full((1, 1, 8, 8), math.ldexp(1.0, top))
+    xx = tensor._feature_rows(x, 2)
+    terms = lacunarity._ratio_terms(xx, PoolSpec.square(8), 1e-6)
+    assert terms[2] == shift == tensor._sum_shift(x, 64)
+    assert np.array_equal(xx[:1], x)  # a rescale goes into a new buffer

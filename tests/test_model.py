@@ -475,6 +475,14 @@ def test_mix_scale_slot_mismatch_rejected():
                         mix=mix)
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 4, 1), (3, 0), ()])
+def test_classifier_weights_must_be_k_by_c(shape):
+    # a (3,) weight used to build and then fail in `head` with IndexError
+    with pytest.raises(ShapeMismatchError, match="classifier weights"):
+        FusionModel(pooling=LacunarityConfig(method="avg"),
+                    classifier_w=np.zeros(shape), classifier_b=np.zeros(shape[:1]))
+
+
 def test_build_rejects_single_class():
     with pytest.raises(ValueError):
         FusionModel.build(4, LacunarityConfig(method="avg"), num_classes=1, seed=0)
