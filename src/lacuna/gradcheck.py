@@ -165,7 +165,7 @@ def _vjp_variance_ratio(upstream, xx, spec, epsilon):
     np.multiply(g, spec.area / denom, out=d_sums[n:])
     scattered = _scatter_pool(d_sums, spec, x.shape[2], x.shape[3])
     g = scattered[:n] + 2.0 * x * scattered[n:]
-    return np.ldexp(g, shift) if shift else g
+    return np.ldexp(g, shift, out=g)
 
 
 def vjp_base_lacunarity(upstream, x, cfg):
@@ -353,7 +353,7 @@ class _Op:
     array stacked by sample: the op acts sample by sample along axis 0 of
     x, row i of its output depending only on row i of x.
     `suite_input(rng)` and `suite_params(i)` are the suite's input and the
-    params of its i-th seed.
+    params of its i-th seed; a check's own params override seed 0's.
 
     An op whose forward is planes then a mix sets `planes(arrays, context)`,
     which reads only x, and `mix(planes, arrays, context)`, which gives
@@ -402,13 +402,12 @@ def _setup_head(x, rng, params):
 
 
 def _setup_multiscale(x, rng, params):
-    cfg = params.get("cfg") or LacunarityConfig(method="multiscale", scales=2)
-    weights = rng.standard_normal((x.shape[1], cfg.scales))
-    return [x, weights, rng.standard_normal(x.shape[1])], cfg
+    weights = rng.standard_normal((x.shape[1], params["cfg"].scales))
+    return [x, weights, rng.standard_normal(x.shape[1])], params["cfg"]
 
 
 def _pooling(forward, vjp):
-    return _Op(forward, vjp, lambda x, rng, p: ([x], p.get("spec") or WINDOW_CONFIGS[0]),
+    return _Op(forward, vjp, lambda x, rng, p: ([x], p["spec"]),
                _args_x_context, _normal,
                lambda i: {"spec": WINDOW_CONFIGS[i % len(WINDOW_CONFIGS)]})
 
@@ -423,9 +422,7 @@ _OPS = {
     "pool_max": _pooling(lambda x, spec: pool_max(x, spec), vjp_pool_max),
     "base_lacunarity": _Op(
         lambda x, cfg: base_lacunarity(x, cfg), vjp_base_lacunarity,
-        lambda x, rng, p: ([x], p.get("cfg") or LacunarityConfig(
-            method="base", window=WINDOW_CONFIGS[0])),
-        _args_x_context, _uniform3,
+        lambda x, rng, p: ([x], p["cfg"]), _args_x_context, _uniform3,
         lambda i: {"cfg": LacunarityConfig(
             method="base", window=WINDOW_CONFIGS[i % len(WINDOW_CONFIGS)])}),
     "mix_scales": _Op(lambda s, mix: mix_scales(s, mix), vjp_mix_scales, _setup_mix,
@@ -433,7 +430,7 @@ _OPS = {
                       lambda rng: rng.standard_normal((2, 4, 5, 5))),
     "upsample_bilinear": _Op(
         lambda x, th, tw: upsample_bilinear(x, th, tw), vjp_upsample_bilinear,
-        lambda x, rng, p: ([x], p.get("size") or _UPSAMPLE_SIZES[0]),
+        lambda x, rng, p: ([x], p["size"]),
         lambda a, size: (a[0], *size), lambda rng: rng.standard_normal((2, 2, 3, 3)),
         lambda i: {"size": _UPSAMPLE_SIZES[i % len(_UPSAMPLE_SIZES)]}),
     "gap": _Op(lambda x: gap(x), vjp_gap, lambda x, rng, p: ([x], None),
@@ -576,7 +573,8 @@ def finite_diff_check(op_id: str, x: np.ndarray, h: float = 1e-5,
     except KeyError:
         raise UnknownOpError(f"no finite-difference harness for {op_id!r}") from None
     rng = np.random.default_rng(seed)
-    arrays, context = op.setup(as_feature_map(x), rng, op_params)
+    arrays, context = op.setup(as_feature_map(x), rng,
+                               {**op.suite_params(0), **op_params})
     arrays = [np.array(a, dtype=np.float64) for a in arrays]
     planes = op.planes(arrays, context) if op.planes else None
     out = _forward(op, arrays, context, planes)

@@ -18,7 +18,9 @@ ratio) are the front half that these forwards and their backwards in
 `gradcheck` share.  `_squashed` checks and squashes the map in place in the
 first half of a buffer twice its size, and `_ratio_terms` writes the square
 into the second half, so the map is scanned for NaN and inf once and the
-pooling walk does not scan it again.
+pooling walk does not scan it again.  Box counting scans in the squash and
+in each dilation's `dbc_column_heights`; its extremes and masses are `_pool`
+walks, so three dilations make four scans.
 
 :func:`scale_planes` is the only code that turns a method name into planes,
 for these three methods and the avg/max/l2 pooling baselines.
@@ -52,8 +54,6 @@ from .tensor import (
     pool_avg,
     pool_l2,
     pool_max,
-    pool_min,
-    pool_sum,
     upsample_bilinear,
 )
 
@@ -101,14 +101,13 @@ class LacunarityConfig:
             raise ValueError("epsilon must be finite and > 0")
         if len(self.dilation_set) == 0:
             raise ValueError("dilation_set must be nonempty")
+        if not all(isinstance(v, (int, np.integer)) and v >= 1
+                   for v in (self.scales, *self.dilation_set)):
+            raise ValueError("scales and dilation factors must be integers >= 1")
         if list(self.dilation_set) != sorted(set(self.dilation_set)):
             raise ValueError("dilation_set must be strictly increasing")
-        if min(self.dilation_set) < 1:
-            raise ValueError("dilation factors must be >= 1")
         if self.method == "dbc" and not self.normalize_input:
             raise ValueError("the dbc method requires normalize_input=True")
-        if self.scales < 1:
-            raise ValueError("scales must be >= 1")
 
     @property
     def scale_count(self) -> int:
@@ -234,16 +233,14 @@ def dbc_column_heights(x: np.ndarray, r: int, window: PoolSpec,
     statistics); this keeps the per-dilation lacunarity planes stackable.
     Kernel dims must be odd for that padding to be symmetric.
     """
-    if r < 1:
-        raise ValueError("dilation factor r must be >= 1")
     if window.kernel_h != window.kernel_w:
         raise ValueError("box-counting windows must be square")
     if window.kernel_h % 2 == 0:
         raise ValueError("box-counting windows must have odd kernel dims")
     x = as_feature_map(x)
     extremes_spec, _ = _dbc_specs(window, r)
-    heights = box_index(pool_max(x, extremes_spec), r)
-    heights -= box_index(pool_min(x, extremes_spec), r)
+    heights = box_index(_pool(x, extremes_spec, -np.inf, np.maximum), r)
+    heights -= box_index(_pool(x, extremes_spec, np.inf, np.minimum), r)
     heights -= 1.0
     if clamp_heights:
         np.maximum(heights, 1.0, out=heights)
@@ -278,7 +275,8 @@ def dbc_scale_planes(x: np.ndarray, cfg: LacunarityConfig) -> np.ndarray:
     stacked = None  # (N, C, R, H', W'), sized by the first dilation's masses
     for i, r in enumerate(cfg.dilation_set):
         _, glide = _dbc_specs(window, r)
-        mass = pool_sum(dbc_column_heights(x, r, window, cfg.clamp_heights), glide)
+        mass = _pool(dbc_column_heights(x, r, window, cfg.clamp_heights),
+                     glide, 0.0, np.add)
         if stacked is None:
             n, c, h, w = mass.shape
             stacked = np.empty((n, c, len(cfg.dilation_set), h, w))

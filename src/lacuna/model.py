@@ -34,6 +34,7 @@ from .tensor import (
     GroupedMixWeights,
     PoolSpec,
     ShapeMismatchError,
+    _check_nchw,
     _padded,
     _window_cells,
     as_feature_map,
@@ -306,7 +307,7 @@ class FusionModel:
         if self.classifier_b.shape != self.classifier_w.shape[:1]:
             raise ShapeMismatchError(f"classifier bias {self.classifier_b.shape} "
                                      f"for weights {self.classifier_w.shape}")
-        need = (*self.classifier_w.shape[1:], self.scale_count)  # (C, S)
+        need = (*self.classifier_w.shape[1:], self.pooling.scale_count)  # (C, S)
         if self.mix is not None and self.mix.weights.shape != need:
             raise ShapeMismatchError(f"mix weights {self.mix.weights.shape}, not {need}")
 
@@ -322,11 +323,6 @@ class FusionModel:
         if pooling.method in ("dbc", "multiscale"):
             model.mix = GroupedMixWeights.uniform(channels, pooling.scale_count)
         return model
-
-    @property
-    def scale_count(self) -> int:
-        """Scale planes S per channel of the pooling branch."""
-        return self.pooling.scale_count
 
     def trainable_param_count(self) -> int:
         mix = 0 if self.mix is None else self.mix.param_count()
@@ -354,17 +350,16 @@ class FusionModel:
         ShapeMismatchError unless the features have the head's channel count.
         """
         feats = np.asarray(feats)
-        if feats.ndim != 4 or feats.size == 0:
-            as_feature_map(feats, "features")  # raises the shape error
+        _check_nchw(feats.shape, "features")
         n, c = feats.shape[:2]
         if c != self.classifier_w.shape[1]:
             raise ShapeMismatchError(f"features have {c} channels, "
                                      f"head takes {self.classifier_w.shape[1]}")
-        out = np.empty((n, c, self.scale_count))
+        s = self.pooling.scale_count
+        out = np.empty((n, c, s))
         step = max(1, _BLOCK_CELLS // math.prod(feats.shape[1:]))
         for i in range(0, n, step):
-            out[i:i + step] = gap(self.scale_planes(feats[i:i + step])).reshape(
-                -1, c, self.scale_count)
+            out[i:i + step] = gap(self.scale_planes(feats[i:i + step])).reshape(-1, c, s)
         return out
 
     def head(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,16 @@
 """Dense NCHW tensors and windowed reductions.
 
 Everything downstream (lacunarity operators, the fusion model) is composed
-from the primitives in this module.  Feature maps are plain numpy arrays of
-shape (batch, channel, height, width), dtype float64 and finite;
-:func:`as_feature_map` is the single entry point that enforces that
-contract, and only :func:`mix_scales` lets its planes hold +-inf.  The
-public pools check their input with it and then hand it to `_pool`, the
-walk, which checks nothing; `_feature_rows` checks a map into the first
-rows of a larger buffer, so a caller can stack more rows beside it.
+from the primitives in this module.  Maps are float64 (N, C, H, W) arrays.
+Feature maps are finite, as :func:`as_feature_map` enforces; the planes that
+:func:`mix_scales` and :func:`upsample_bilinear` take may hold the +-inf a
+lacunarity operator documents, and `_as_planes` rejects NaN alone.  A public
+call scans each map it is handed once; a walk over a map it has checked or
+built (the pools' inputs, `pool_l2`'s squares, the lacunarity window sums,
+extremes and masses) goes through `_pool`, which checks nothing, and
+`pool_avg` and `gap` check only the shape before `pool_sum` scans the values.
+`_feature_rows` checks a map into the first rows of a larger buffer, so a
+caller can stack more rows beside it.
 Operators allocate their outputs and never write into their arguments;
 in-place arithmetic only touches arrays the operator allocated itself.
 
@@ -38,16 +41,19 @@ def as_feature_map(x, name: str = "x") -> np.ndarray:
     Raises ShapeMismatchError on wrong rank or empty dimensions, and
     ValueError if any value is non-finite.
     """
-    arr = _as_nchw(x, name)
+    arr = np.ascontiguousarray(x, dtype=np.float64)
+    _check_nchw(arr.shape, name)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf")
     return arr
 
 
-def _as_nchw(x, name: str) -> np.ndarray:
-    """`as_feature_map` without the finiteness check."""
+def _as_planes(x, name: str) -> np.ndarray:
+    """`as_feature_map` for planes, which may hold +-inf but no NaN."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
     _check_nchw(arr.shape, name)
+    if np.isnan(arr).any():
+        raise ValueError(f"{name} contains NaN")
     return arr
 
 
@@ -96,11 +102,11 @@ class PoolSpec:
     def __post_init__(self):
         object.__setattr__(self, "stride_h", self.stride_h or self.kernel_h)
         object.__setattr__(self, "stride_w", self.stride_w or self.kernel_w)
-        for field in ("kernel_h", "kernel_w", "stride_h", "stride_w", "dilation"):
-            if getattr(self, field) < 1:
-                raise ShapeMismatchError(f"PoolSpec.{field} must be >= 1")
-        if self.padding < 0:
-            raise ShapeMismatchError("PoolSpec.padding must be >= 0")
+        for field in ("kernel_h", "kernel_w", "stride_h", "stride_w", "dilation",
+                      "padding"):
+            value, least = getattr(self, field), int(field != "padding")
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ShapeMismatchError(f"PoolSpec.{field} must be an int >= {least}")
         eff = self.dilation * (max(self.kernel_h, self.kernel_w) - 1) + 1
         if self.padding > eff // 2:
             raise ShapeMismatchError(
@@ -174,8 +180,8 @@ def _window_cells(spec: PoolSpec, out_h: int, out_w: int):
 
 def _pool(x: np.ndarray, spec: PoolSpec, fill: float, combine) -> np.ndarray:
     """Fold `combine` over every window's cells of checked map `x`; `fill`
-    pads and seeds it.  The walk reads `x` once and does not check it: the
-    public pools check their input first, and the variance ratio stacks a
+    pads and seeds it.  The walk reads `x` once and does not check it: its
+    callers have checked or built `x`, and the variance ratio stacks a
     checked map and its square as one `x` so that one walk takes both sums.
     No fold crosses the batch axis, so each row keeps the bits it has when
     walked alone."""
@@ -213,10 +219,9 @@ def pool_avg(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     """Windowed mean; the divisor is always the full kernel area.  A map
     whose window sums could overflow is pooled scaled by an exact power of
     two (`_sum_shift`) and the means scaled back."""
-    x = _as_nchw(x, "x")  # pool_sum checks the values
+    x = np.asarray(x, dtype=np.float64)
+    _check_nchw(x.shape, "x")  # pool_sum checks the values
     shift = _sum_shift(x, spec.area)
-    if not shift:
-        return pool_sum(x, spec) / spec.area
     return np.ldexp(pool_sum(np.ldexp(x, shift), spec) / spec.area, -shift)
 
 
@@ -235,10 +240,9 @@ def pool_l2(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     `pool_avg`'s rescale when the squares could overflow."""
     x = as_feature_map(x)
     shift = _sum_shift(x, spec.area)
-    if not shift:
-        return np.sqrt(pool_sum(x * x, spec) / spec.area)
     x = np.ldexp(x, shift)
-    return np.ldexp(np.sqrt(pool_sum(x * x, spec) / spec.area), -shift)
+    x *= x
+    return np.ldexp(np.sqrt(_pool(x, spec, 0.0, np.add) / spec.area), -shift)
 
 
 def _resample_axis(in_size: int, out_size: int):
@@ -252,24 +256,29 @@ def _resample_axis(in_size: int, out_size: int):
     return lo, hi, frac
 
 
+def _lerp(lo: np.ndarray, hi: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """lo * (1 - frac) + hi * frac, where a zero `frac` (`1 - frac` never is)
+    gives an infinite `hi` the term 0, not NaN; finite maps keep their bits."""
+    with np.errstate(invalid="ignore"):
+        far = hi * frac
+    far[np.isnan(far)] = 0.0  # inf * 0: no NaN reaches here
+    return lo * (1.0 - frac) + far
+
+
 def upsample_bilinear(x: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     """Bilinear resampling with half-pixel centers (align-corners false).
 
     On a constant input the result is the same constant; resampling to the
-    input's own size returns the values unchanged.
+    input's own size returns the values unchanged.  An inf cell reaches only
+    the cells that weigh on it; one that weighs on +inf and -inf is NaN.
     """
-    x = as_feature_map(x)
+    x = _as_planes(x, "x")
     if target_h < 1 or target_w < 1:
         raise ShapeMismatchError("target dims must be >= 1")
-    h, w = x.shape[2], x.shape[3]
-    i0, i1, fi = _resample_axis(h, target_h)
-    j0, j1, fj = _resample_axis(w, target_w)
-    top = x[:, :, i0, :]
-    bot = x[:, :, i1, :]
-    rows = top * (1.0 - fi)[None, None, :, None] + bot * fi[None, None, :, None]
-    left = rows[:, :, :, j0]
-    right = rows[:, :, :, j1]
-    return left * (1.0 - fj)[None, None, None, :] + right * fj[None, None, None, :]
+    i0, i1, fi = _resample_axis(x.shape[2], target_h)
+    j0, j1, fj = _resample_axis(x.shape[3], target_w)
+    rows = _lerp(x[:, :, i0, :], x[:, :, i1, :], fi[None, None, :, None])
+    return _lerp(rows[:, :, :, j0], rows[:, :, :, j1], fj[None, None, None, :])
 
 
 @dataclass
@@ -318,9 +327,7 @@ def mix_scales(stacked: np.ndarray, mix: GroupedMixWeights) -> np.ndarray:
     on its own S products whatever the map's size.  Planes may hold the
     +-inf a lacunarity operator documents, but no NaN.
     """
-    stacked = _as_nchw(stacked, "stacked")
-    if np.isnan(stacked).any():
-        raise ValueError("stacked contains NaN")
+    stacked = _as_planes(stacked, "stacked")
     c, s = mix.channels, mix.scales
     if stacked.shape[1] != c * s:
         raise ShapeMismatchError(
@@ -337,5 +344,6 @@ def mix_scales(stacked: np.ndarray, mix: GroupedMixWeights) -> np.ndarray:
 
 def gap(x: np.ndarray) -> np.ndarray:
     """Global average pool: (N, C, H, W) -> (N, C, 1, 1)."""
-    x = _as_nchw(x, "x")  # pool_avg checks the values
-    return pool_avg(x, PoolSpec.global_window(x.shape[2], x.shape[3]))
+    shape = np.shape(x)
+    _check_nchw(shape, "x")  # pool_sum checks the values
+    return pool_avg(x, PoolSpec.global_window(shape[2], shape[3]))

@@ -179,13 +179,13 @@ class _HeadState:
         self.labels = _checked_labels(labels, shape[0])
         self.gapped = gap(feats)[:, :, 0, 0]
         m, (n, c) = len(models), self.gapped.shape
-        s_max = max(model.scale_count for model in models)
+        s_max = max(model.pooling.scale_count for model in models)
         self.pooled = np.zeros((m, n, c, s_max))
         weights, bias = np.zeros((m, c, s_max)), np.zeros((m, c))
         self.trainable = {"mix_bias": np.zeros_like(bias),
                           "mix_weights": np.zeros_like(weights)}
         for i, model in enumerate(models):
-            s = model.scale_count
+            s = model.pooling.scale_count
             self.pooled[i, :, :, :s] = model.pooled(feats)
             weights[i, :, :s] = model.head_mix.weights
             bias[i] = model.head_mix.bias

@@ -190,6 +190,14 @@ def test_lacmap_bad_flag_combination_exits_1(tmp_path, texture_pgm, capsys):
     capsys.readouterr()
 
 
+def test_lacmap_dilations_not_a_list_of_ints_exits_1(tmp_path, texture_pgm, capsys):
+    out = tmp_path / "o.pgm"
+    assert cli.main(["lacmap", "--method", "dbc", "--dilations", "1,a",
+                     texture_pgm, str(out)]) == 1
+    assert "'1,a' is not a comma list of ints" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["inf", "nan", "0"])
 def test_lacmap_epsilon_not_finite_and_positive_exits_1(tmp_path, texture_pgm,
                                                         capsys, eps):

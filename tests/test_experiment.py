@@ -105,6 +105,20 @@ def test_load_config_rejects_bad_configs(tmp_path, text):
         load_config(write_ini(tmp_path, text))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(classes=1), "need at least two classes"),
+    (dict(image_size=15), "image_size must be >= 16"),
+])
+def test_config_rejects_too_few_classes_and_too_small_images(overrides, message):
+    with pytest.raises(ExperimentConfigError, match=message):
+        ExperimentConfig(methods=("avg",), dataset="toy", **overrides)
+
+
+def test_load_config_without_an_experiment_section(tmp_path):
+    with pytest.raises(ExperimentConfigError, match=r"needs an \[experiment\] section"):
+        load_config(write_ini(tmp_path, "[train]\nmax_epochs = 3\n"))
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ExperimentConfigError):
         load_config(str(tmp_path / "absent.ini"))

@@ -313,6 +313,24 @@ def test_a_window_whose_ratio_is_inf_contributes_zero(method):
     assert np.array_equal(d_bias, [up.sum()])
 
 
+def test_a_coarse_level_whose_ratio_is_inf_contributes_zero():
+    # level 2 is [[3.22e9, -3.22e9]]: its one window's ratio is +inf, which
+    # the upsample spreads over the second plane; the upsample's adjoint is
+    # linear in the upstream, and the +inf window routes none of it
+    v = 2.0 ** 33
+    x = np.array([[v, v / 4, -v, -v / 4]] * 2)[None, None]
+    cfg = LacunarityConfig(method="multiscale", normalize_input=False,
+                           epsilon=1e-300, window=PoolSpec(1, 2, 1, 1))
+    planes = multiscale_scale_planes(x, cfg)
+    d_x, d_weights, d_bias = backward("multiscale_lacunarity", (x, cfg),
+                                      np.ones((1, 1, 2, 3)))
+    assert np.isfinite(d_x).all()
+    assert d_weights[0, 1] == 0.0
+    np.testing.assert_allclose(d_weights[0, 0], planes[:, 0].sum(), rtol=1e-12)
+    assert d_weights[0, 0] == pytest.approx(6.99555, rel=1e-6)
+    assert np.array_equal(d_bias, [6.0])
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
 def test_mix_gradient_over_inf_planes_is_finite_whatever_the_upstream(sign):
     # an upstream cell of 0, or cells of either sign, over +-inf planes once

@@ -653,6 +653,46 @@ def test_multiscale_mixes_the_inf_of_its_finest_level():
     assert lacunarity.heatmap(x, cfg).tobytes() == want.tobytes()
 
 
+def test_multiscale_keeps_the_inf_of_a_coarse_level():
+    # level 2 is [[3.22e9, -3.22e9]]: its one window sums to 0, and its ratio
+    # is variance_ratio's +inf, which the upsample spreads over the map
+    v = 2.0 ** 33
+    x = np.array([[v, v / 4, -v, -v / 4]] * 2)[None, None]
+    cfg = LacunarityConfig(method="multiscale", normalize_input=False,
+                           epsilon=1e-300, window=PoolSpec(1, 2, 1, 1))
+    planes = multiscale_scale_planes(x, cfg)
+    assert np.isfinite(planes[:, 0]).all() and (planes[:, 1] == math.inf).all()
+    out = multiscale_lacunarity(x, cfg)
+    assert (out == math.inf).all()
+    assert lacunarity.heatmap(x, cfg).tobytes() == out.tobytes()
+
+
+def _count_scans(monkeypatch):
+    """The names of the maps `as_feature_map` scans from here on."""
+    scans = []
+    real = tensor.as_feature_map
+
+    def counting(x, name="x"):
+        scans.append(name)
+        return real(x, name)
+
+    for module in (tensor, lacunarity):
+        monkeypatch.setattr(module, "as_feature_map", counting)
+    return scans
+
+
+def test_each_public_call_scans_a_map_it_is_handed_once(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    x = _maps(8, n=2, c=2, h=9, w=9)
+    dbc_scale_planes(x, LacunarityConfig(method="dbc", dilation_set=(1, 2, 3)))
+    # the squash, then each dilation's heights; the extremes and the masses
+    # walk checked maps through the unchecked `_pool`
+    assert len(scans) == 4
+    scans.clear()
+    pool_l2(x, PoolSpec.square(3, stride=1))
+    assert len(scans) == 1  # not its squares
+
+
 @pytest.mark.parametrize("method, pool", [
     ("avg", pool_avg), ("max", pool_max), ("l2", pool_l2)])
 def test_scale_planes_pools_a_baseline_over_the_raw_map(method, pool):
@@ -695,6 +735,28 @@ def test_scale_plane_entries_reject_another_method(entry, method):
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         LacunarityConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(method="multiscale", scales=2.5),
+    dict(method="dbc", dilation_set=(1.5, 2)),
+])
+def test_config_rejects_non_integer_sizes(kwargs):
+    # these used to build and then die in the first walk with a TypeError
+    with pytest.raises(ValueError, match="must be integers"):
+        LacunarityConfig(**kwargs)
+
+
+def test_config_takes_numpy_integer_sizes():
+    x = _maps(5, n=1, c=2, h=9, w=9)
+    for plain, numpy_ints in (
+            (dict(method="dbc", dilation_set=(1, 2)),
+             dict(method="dbc", dilation_set=(np.int64(1), np.int32(2)))),
+            (dict(method="multiscale", scales=2),
+             dict(method="multiscale", scales=np.int64(2)))):
+        want = lacunarity.scale_planes(x, LacunarityConfig(**plain))
+        got = lacunarity.scale_planes(x, LacunarityConfig(**numpy_ints))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_config_defaults():

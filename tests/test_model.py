@@ -346,7 +346,7 @@ def test_pooled_blocks_equal_one_whole_batch_pass(name):
     model = FusionModel.build(16, SELECTORS[name], num_classes=3, seed=0)
     whole = gap(model.scale_planes(feats)).reshape(75, 16, -1)
     pooled = model.pooled(feats)
-    assert pooled.shape == (75, 16, model.scale_count)
+    assert pooled.shape == (75, 16, model.pooling.scale_count)
     assert np.array_equal(pooled, whole)
 
 
@@ -357,7 +357,7 @@ def test_pooled_peak_grows_only_with_its_output(name):
     model.pooled(feats[:2])  # first-call caches
     small, _ = traced_peak(lambda: model.pooled(feats[:48]))
     large, _ = traced_peak(lambda: model.pooled(feats))
-    grown_output = (480 - 48) * 16 * model.scale_count * 8
+    grown_output = (480 - 48) * 16 * model.pooling.scale_count * 8
     assert large - small <= grown_output + PEAK_SLACK, (small, large)
 
 
@@ -481,6 +481,17 @@ def test_classifier_weights_must_be_k_by_c(shape):
     with pytest.raises(ShapeMismatchError, match="classifier weights"):
         FusionModel(pooling=LacunarityConfig(method="avg"),
                     classifier_w=np.zeros(shape), classifier_b=np.zeros(shape[:1]))
+
+
+def test_classifier_bias_must_be_k():
+    with pytest.raises(ShapeMismatchError, match="classifier bias"):
+        FusionModel(pooling=LacunarityConfig(method="avg"),
+                    classifier_w=np.zeros((3, 4)), classifier_b=np.zeros(4))
+
+
+def test_backbone_needs_a_channel():
+    with pytest.raises(ValueError, match="channels must be >= 1"):
+        FrozenBackbone.make(channels=0)
 
 
 def test_build_rejects_single_class():

@@ -128,6 +128,13 @@ def test_malformed_inputs(tmp_path, blob, err):
         read_pgm(str(path))
 
 
+def test_zero_maxval_is_a_malformed_header(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n2 2\n0\n" + bytes(4))
+    with pytest.raises(MalformedHeaderError, match="bad maxval 0"):
+        read_pgm(str(path))
+
+
 _PIXELS = [[10.0, 20.0], [35.0, 10.0]]
 
 

@@ -128,6 +128,32 @@ def test_pool_rejects_nan():
         pool_sum(x, PoolSpec.square(2, stride=1))
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((0, 3), {}, "kernel_h must be an int >= 1"),
+    ((3, 3, 1, -1), {}, "stride_w must be an int >= 1"),
+    ((3, 3), {"dilation": 0}, "dilation must be an int >= 1"),
+    ((3, 3), {"padding": -1}, "padding must be an int >= 0"),
+    ((2.5, 2), {}, "kernel_h must be an int >= 1"),
+    ((3, 3, 1, 1), {"padding": 0.5}, "padding must be an int >= 0"),
+])
+def test_pool_spec_rejects_bad_fields(args, kwargs, message):
+    with pytest.raises(ShapeMismatchError, match=message):
+        PoolSpec(*args, **kwargs)
+
+
+def test_pool_spec_takes_numpy_integers():
+    x = fmap(1, 2, 6, 6)
+    spec = PoolSpec(np.int64(3), np.int32(3), np.int64(1), np.int8(1),
+                    padding=np.int64(1))
+    want = pool_sum(x, PoolSpec.square(3, stride=1, padding=1))
+    assert pool_sum(x, spec).tobytes() == want.tobytes()
+
+
+def test_mix_bias_must_have_one_entry_per_channel():
+    with pytest.raises(ShapeMismatchError, match=r"bias must have shape \(C,\)"):
+        GroupedMixWeights(np.ones((2, 3)), np.zeros(3))
+
+
 def test_padding_cap_guards_inf_escape():
     with pytest.raises(ShapeMismatchError):
         PoolSpec.square(2, stride=1, padding=2)
@@ -210,6 +236,21 @@ def test_upsample_ramp_2x2_to_4x4():
     for i in range(4):
         np.testing.assert_allclose(out[0, 0, i], out[0, 0, 0])
     np.testing.assert_allclose(out[0, 0, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-15)
+
+
+def test_upsample_spreads_inf_only_to_the_cells_it_weighs_on():
+    x = np.ones((1, 1, 2, 2))
+    x[0, 0, 0, 0] = np.inf
+    out = upsample_bilinear(x, 4, 4)
+    # output rows and columns 0-2 weigh on source row and column 0, row and
+    # column 3 on source 1 alone: a zero weight on inf is no NaN
+    assert (out[0, 0, :3, :3] == np.inf).all()
+    assert (out[0, 0, 3] == 1.0).all() and (out[0, 0, :, 3] == 1.0).all()
+    # a 1x1 map: every output cell has a zero-weight neighbour
+    assert (upsample_bilinear(np.full((1, 1, 1, 1), np.inf), 2, 3) == np.inf).all()
+    x[0, 0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="x contains NaN"):
+        upsample_bilinear(x, 4, 4)
 
 
 @settings(deadline=None, max_examples=40)

@@ -180,6 +180,8 @@ def test_dataset_row_ranges_are_slices_of_the_whole_set(build):
 def test_toy_dataset_needs_a_sample_per_class():
     with pytest.raises(ValueError, match="n_per_class"):
         toy_dataset(classes=2, n_per_class=0)
+    with pytest.raises(ValueError, match="n_per_class must be >= 1"):
+        heterogeneity_dataset(n_per_class=0)
 
 
 # ------------------------------------------------ painters vs loop oracles

@@ -43,6 +43,8 @@ def test_config_validation():
         TrainConfig(max_epochs=5, early_stop_patience=5)
     with pytest.raises(ValueError, match="seed"):
         TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match="max_epochs must be >= 1"):
+        TrainConfig(max_epochs=0)
     for rate in (math.nan, math.inf):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=rate)
@@ -164,6 +166,27 @@ def test_divergent_loss_raises():
     with pytest.raises(DivergenceError):
         train(model, feats, labels,
               TrainConfig(max_epochs=2, early_stop_patience=1))
+
+
+def test_divergent_validation_loss_raises():
+    # one validation row's features overflow its fused vector to inf, while
+    # every training row keeps a finite loss
+    model, feats, labels = toy_setup()
+    cfg = TrainConfig(max_epochs=2, early_stop_patience=1)
+    _, val_idx, _ = split_indices(labels, cfg.seed)
+    feats[val_idx[0]] *= 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="validation loss .* at epoch 1"):
+            train(model, feats, labels, cfg)
+
+
+def test_feature_rows_and_labels_must_agree():
+    model, feats, labels = toy_setup()
+    more = np.append(labels, 0)
+    with pytest.raises(ValueError, match="30 feature rows for 31 labels"):
+        train_heads([model], feats, more, TrainConfig(max_epochs=2, early_stop_patience=1))
+    with pytest.raises(ValueError, match="30 feature rows for 31 labels"):
+        evaluate(model, feats, more)
 
 
 def test_history_tracks_every_epoch():
